@@ -282,17 +282,42 @@ BatchResult BatchDriver::RunSourcesImpl(
                                static_cast<int64_t>(sources.size()));
   }
 
-  util::ThreadPool pool(options_.jobs, options_.obs);
   // One committer per batch: workers enqueue encoded entries into per-worker
   // lanes; the committer alone performs the cache file writes, so
   // "batch.cache.write" never sits on a worker's critical path. Flushed
   // below before hit/miss accounting, which preserves the invariant that a
   // completed run's entries are all durable before Run returns (warm replay
   // stays byte-identical to the synchronous path).
+  //
+  // One file without --isolate runs inline on the calling thread instead:
+  // starting a pool and a committer costs more than the warm hit they would
+  // carry, and its synchronous Cache::Put keeps the same invariant.
+  std::optional<util::ThreadPool> pool;
   std::optional<CacheCommitQueue> commit;
-  if (cache.has_value()) {
-    commit.emplace(&*cache, pool.size(), metrics);
+  if (sources.size() != 1 || options_.isolate) {
+    pool.emplace(options_.jobs, options_.obs);
+    if (cache.has_value()) {
+      commit.emplace(&*cache, pool->size(), metrics);
+    }
   }
+  auto analyze = [this, &sources, &result, &cache, &commit, abort](size_t i) {
+    // Isolated files fork a capped worker per analysis and skip the commit
+    // queue — the worker installs its own cache entry synchronously before
+    // exiting, since its memory (and any queued lane) dies with it.
+    FileResult file =
+        options_.isolate
+            ? AnalyzeSourceIsolated(options_, sources[i].first, sources[i].second,
+                                    cache.has_value() ? &*cache : nullptr, abort)
+            : AnalyzeSourceCached(options_, sources[i].first, sources[i].second,
+                                  cache.has_value() ? &*cache : nullptr, abort,
+                                  /*budget=*/nullptr, commit.has_value() ? &*commit : nullptr);
+    if (abort != nullptr &&
+        (file.status == FileStatus::kFailed || file.status == FileStatus::kTimedOut ||
+         file.status == FileStatus::kCrashed)) {
+      abort->Cancel(util::CancelReason::kExternal);
+    }
+    result.files[i] = std::move(file);
+  };
   for (size_t i = 0; i < sources.size(); ++i) {
     if (read_errors != nullptr && !(*read_errors)[i].empty()) {
       result.files[i].path = sources[i].first;
@@ -301,29 +326,15 @@ BatchResult BatchDriver::RunSourcesImpl(
       if (abort != nullptr) {
         abort->Cancel(util::CancelReason::kExternal);
       }
-      continue;
+    } else if (pool.has_value()) {
+      pool->Submit([&analyze, i] { analyze(i); });
+    } else {
+      analyze(i);
     }
-    pool.Submit([this, &sources, &result, &cache, &commit, abort, i] {
-      // Isolated files fork a capped worker per analysis and skip the commit
-      // queue — the worker installs its own cache entry synchronously before
-      // exiting, since its memory (and any queued lane) dies with it.
-      FileResult file =
-          options_.isolate
-              ? AnalyzeSourceIsolated(options_, sources[i].first, sources[i].second,
-                                      cache.has_value() ? &*cache : nullptr, abort)
-              : AnalyzeSourceCached(options_, sources[i].first, sources[i].second,
-                                    cache.has_value() ? &*cache : nullptr, abort,
-                                    /*budget=*/nullptr,
-                                    commit.has_value() ? &*commit : nullptr);
-      if (abort != nullptr &&
-          (file.status == FileStatus::kFailed || file.status == FileStatus::kTimedOut ||
-           file.status == FileStatus::kCrashed)) {
-        abort->Cancel(util::CancelReason::kExternal);
-      }
-      result.files[i] = std::move(file);
-    });
   }
-  pool.Wait();
+  if (pool.has_value()) {
+    pool->Wait();
+  }
   if (commit.has_value()) {
     commit->Flush();
   }
@@ -335,8 +346,8 @@ BatchResult BatchDriver::RunSourcesImpl(
   }
   if (metrics != nullptr) {
     metrics->counter("batch.files")->Add(static_cast<int64_t>(sources.size()));
-    metrics->counter("batch.steals")->Add(pool.steals());
-    metrics->gauge("batch.jobs")->Set(pool.size());
+    metrics->counter("batch.steals")->Add(pool.has_value() ? pool->steals() : 0);
+    metrics->gauge("batch.jobs")->Set(pool.has_value() ? pool->size() : 1);
     metrics->counter("resilience.timeouts")
         ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kTimedOut)));
     metrics->counter("resilience.degraded")

@@ -122,7 +122,8 @@ std::vector<std::string> ExpandInputs(const std::vector<std::string>& inputs);
 // `commit` (optional) routes the cold-result cache install through an
 // asynchronous commit queue instead of a synchronous Cache::Put, taking the
 // "batch.cache.write" I/O off the calling worker's critical path. The batch
-// driver passes its per-run queue; the serve path passes nothing and keeps
+// driver passes its per-run queue for a multi-file pool run; a single inline
+// file and the serve path pass nothing and keep
 // the synchronous install (a resident server wants the entry durable before
 // the response goes out).
 FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& path,

@@ -172,10 +172,18 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
   // the pipe. The fork inherits warm read-only state (interner, specs,
   // pattern caches) for free; cache entries it installs are atomic-rename
   // files the parent's next Get sees normally.
+  //
+  // The worker runs without observability hooks. Whatever it records dies
+  // with it, and a hook can take a lock that another parent thread held at
+  // fork time: a sibling's crash accounting below looks counters up under
+  // the registry mutex, and a worker forked meanwhile would wait on that
+  // mutex until the wall backstop killed it.
   util::WorkerResult worker = util::RunInWorker(
       [&options, &path, &source, cache]() {
+        BatchOptions unhooked = options;
+        unhooked.obs = {};
         FileResult inner =
-            AnalyzeSourceCached(options, path, source, cache, /*abort=*/nullptr,
+            AnalyzeSourceCached(unhooked, path, source, cache, /*abort=*/nullptr,
                                 /*budget=*/nullptr, /*commit=*/nullptr);
         return EncodeWorkerResult(inner);
       },

@@ -99,6 +99,9 @@ RssSampler::~RssSampler() {
 }
 
 void RssSampler::SampleOnce() {
+  if (!hooks_.enabled()) {
+    return;  // Nothing would record the sample; skip the /proc read.
+  }
   int64_t rss = CurrentRssKb();
   if (rss <= 0) {
     return;

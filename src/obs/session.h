@@ -1,0 +1,59 @@
+// One command's observability set-up, paid for only as far as it is used.
+// Each sink — span tracer, metrics registry, event journal — is built only
+// when the run asks for it; a Session with nothing requested allocates
+// nothing and hands out null hooks, so the disabled path costs one branch
+// per instrumentation site and no start-up time. `sash analyze`, `sash
+// profile`, `sash serve` and each supervised daemon incarnation share it.
+//
+//   obs::Session session({.trace_out = "t.json", .metrics = stats});
+//   batch.obs = session.hooks();
+//   ... run ...
+//   if (!session.Finish("sash")) return 2;   // writes t.json
+#ifndef SASH_OBS_SESSION_H_
+#define SASH_OBS_SESSION_H_
+
+#include <memory>
+#include <string>
+
+#include "obs/obs.h"
+
+namespace sash::obs {
+
+struct SessionOptions {
+  std::string trace_out{};    // Non-empty: record spans; Finish writes a Chrome trace.
+  std::string journal_out{};  // Non-empty: keep an event journal, installed as
+                              // EventJournal::Global(); Finish writes its JSONL.
+  bool metrics = false;       // Keep a metrics registry.
+  bool arm_lock_probes = false;  // Reset and arm the lock probes for the
+                                 // session; Finish journals their site totals.
+};
+
+class Session {
+ public:
+  explicit Session(SessionOptions options);
+  // Disarms the probes if still armed; the journal uninstalls itself.
+  ~Session();
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  Hooks hooks() const { return {tracer(), metrics(), journal()}; }
+  Tracer* tracer() const { return tracer_.get(); }
+  Registry* metrics() const { return metrics_.get(); }
+  EventJournal* journal() const { return journal_.get(); }
+
+  // Disarms the lock probes and journals their site totals, then writes the
+  // requested trace and journal files. Each unwritable file is reported on
+  // stderr as "<who>: cannot write PATH"; false when any write failed.
+  bool Finish(const char* who);
+
+ private:
+  SessionOptions options_;
+  std::unique_ptr<Tracer> tracer_;
+  std::unique_ptr<Registry> metrics_;
+  std::unique_ptr<EventJournal> journal_;
+  bool armed_ = false;
+};
+
+}  // namespace sash::obs
+
+#endif  // SASH_OBS_SESSION_H_

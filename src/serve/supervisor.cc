@@ -11,7 +11,7 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/journal.h"
+#include "obs/session.h"
 #include "serve/client.h"
 #include "serve/uds.h"
 
@@ -92,12 +92,9 @@ int64_t Supervisor::SpawnChild() {
     // worth of state and nothing else.
     int rc = 0;
     {
-      obs::EventJournal journal(1 << 16);
+      obs::Session session({.journal_out = options_.journal_path});
       ServerOptions incarnation = server_;
-      if (!options_.journal_path.empty()) {
-        incarnation.batch.obs.journal = &journal;
-        obs::EventJournal::SetGlobal(&journal);
-      }
+      incarnation.batch.obs.journal = session.journal();
       Server server(std::move(incarnation));
       std::string error;
       if (!server.Start(&error)) {
@@ -108,8 +105,7 @@ int64_t Supervisor::SpawnChild() {
       server.AwaitStopped();
       Server::InstallSignalDrain(nullptr);
       server.Stop();
-      if (!options_.journal_path.empty() && !journal.WriteJsonl(options_.journal_path)) {
-        fprintf(stderr, "sash serve: cannot write %s\n", options_.journal_path.c_str());
+      if (!session.Finish("sash serve")) {
         rc = 2;
       }
     }

@@ -17,6 +17,7 @@
 #include "batch/spec_io.h"
 #include "json_normalize.h"
 #include "mining/man_corpus.h"
+#include "util/faultinject.h"
 #include "util/sha256.h"
 
 namespace sash::batch {
@@ -151,6 +152,74 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
     EXPECT_EQ(cold.files[i].report_json, warm.files[i].report_json) << files[i];
     EXPECT_EQ(cold.files[i].report_text, warm.files[i].report_text) << files[i];
   }
+}
+
+// One file without --isolate runs inline on the calling thread: no pool, no
+// committer, a synchronous Cache::Put. The entry must still be durable when
+// RunSources returns, and the run must still be accounted like a batch.
+TEST_F(BatchCacheTest, SingleFileRunsInlineAndCommitsBeforeReturning) {
+  const std::string source = "rm -rf \"$UNSET_DIR/\"*\n";
+  obs::Registry metrics;
+  BatchOptions options = Options(/*jobs=*/0);
+  options.obs.metrics = &metrics;
+  BatchResult cold = BatchDriver(options).RunSources({{"solo.sh", source}});
+  ASSERT_EQ(cold.files.size(), 1u);
+  ASSERT_TRUE(cold.files[0].ok);
+  EXPECT_FALSE(cold.files[0].cached);
+  EXPECT_EQ(cold.cache_misses, 1);
+
+  // Durable on return, without a committer in between.
+  Cache cache(CacheDir());
+  EXPECT_TRUE(cache.Get("analysis", AnalysisKey(source, options.analyzer)).has_value());
+  obs::MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.counters["cache.commit.enqueued"], 0);
+  EXPECT_EQ(snap.counters["batch.files"], 1);
+  EXPECT_EQ(snap.gauges["batch.jobs"], 1);
+  EXPECT_EQ(snap.counters["batch.steals"], 0);
+  for (const char* name : {"resilience.timeouts", "resilience.degraded", "resilience.failed",
+                           "resilience.crashed"}) {
+    EXPECT_EQ(snap.counters.count(name), 1u) << name;
+  }
+  EXPECT_EQ(snap.histograms["batch.file_micros"].count, 1);
+
+  // A fresh driver replays the file from disk, byte for byte.
+  BatchResult warm = BatchDriver(Options(0)).RunSources({{"solo.sh", source}});
+  ASSERT_TRUE(warm.files[0].ok);
+  EXPECT_TRUE(warm.files[0].cached);
+  EXPECT_EQ(warm.cache_hits, 1);
+  EXPECT_EQ(warm.files[0].report_json, cold.files[0].report_json);
+  EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
+  EXPECT_EQ(warm.ExitCode(), cold.ExitCode());
+}
+
+TEST_F(BatchCacheTest, SingleIsolatedFileStillForksAWorker) {
+  // A crash plan only ever crashes inside a forked worker; outside one it
+  // degrades to a plain failure. "crashed" therefore proves the fork.
+  util::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(util::FaultPlan::Parse("analyze.file~solo.sh=crash", &plan, &error)) << error;
+  util::FaultInjector::Install(plan);
+  BatchOptions options = Options(0);
+  options.isolate = true;
+  BatchResult r = BatchDriver(options).RunSources({{"solo.sh", "echo hi\n"}});
+  util::FaultInjector::Uninstall();
+  ASSERT_EQ(r.files.size(), 1u);
+  EXPECT_EQ(r.files[0].status, FileStatus::kCrashed);
+  EXPECT_EQ(r.files[0].degraded_reason, "crashed:SIGSEGV");
+  EXPECT_EQ(r.ExitCode(), 2);
+}
+
+TEST_F(BatchCacheTest, SingleUnreadableFileStillReportsFailed) {
+  obs::Registry metrics;
+  BatchOptions options = Options(0);
+  options.obs.metrics = &metrics;
+  BatchResult r = BatchDriver(options).Run({(dir_ / "missing.sh").string()});
+  ASSERT_EQ(r.files.size(), 1u);
+  EXPECT_FALSE(r.files[0].ok);
+  EXPECT_EQ(r.files[0].status, FileStatus::kFailed);
+  EXPECT_FALSE(r.files[0].error.empty());
+  EXPECT_EQ(r.ExitCode(), 2);
+  EXPECT_EQ(metrics.counter("resilience.failed")->value(), 1);
 }
 
 // The queue's own contract, exercised directly: concurrent producers on

@@ -157,6 +157,7 @@ TEST_F(CliGoldenTest, ExitCodes) {
   // Findings → 1 (covered above too); usage error → 2.
   EXPECT_EQ(RunCli(Sash("analyze --format=json")).exit_code, 2);       // No inputs.
   EXPECT_EQ(RunCli(Sash("analyze --bogus-flag x.sh")).exit_code, 2);   // Unknown flag.
+  EXPECT_EQ(RunCli(Sash("profile --no-cache --journal= x.sh")).exit_code, 2);  // Empty path.
 
   // Partial batch: the unreadable file is reported, the readable one is
   // still analyzed, and the exit code is 2 (I/O beats findings).
@@ -194,6 +195,31 @@ TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {
   RunResult rep = RunCli(Sash("report --journal '" + journal + "'"));
   EXPECT_EQ(rep.exit_code, 0);
   EXPECT_NE(rep.output.find("== contention =="), std::string::npos) << rep.output;
+  fs::remove_all(dir);
+}
+
+// One file runs inline, without a pool; the artifacts a user asks for must
+// not notice.
+TEST_F(CliGoldenTest, SingleFileArtifactsAndWarmStats) {
+  fs::path dir = fs::temp_directory_path() / ("sash_single_art_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  std::string journal = (dir / "events.jsonl").string();
+  std::string trace = (dir / "trace.json").string();
+  RunResult cold = RunCli(Sash("analyze " + CacheFlag() + " --journal '" + journal +
+                               "' --trace-out '" + trace + "' loop.sh"));
+  EXPECT_LE(cold.exit_code, 1);
+  std::string jsonl = ReadFile(journal);
+  ASSERT_FALSE(jsonl.empty());
+  EXPECT_TRUE(sash::obs::EventJournal::ValidateJsonl(jsonl).empty());
+  std::optional<sash::obs::JsonValue> doc = sash::obs::JsonValue::Parse(ReadFile(trace));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_NE(doc->Find("traceEvents"), nullptr);
+
+  // Warm rerun: --stats still reports the hit and the process's peak RSS.
+  RunResult warm = RunCli(Sash("analyze --stats " + CacheFlag() + " loop.sh 2>&1 >/dev/null"));
+  EXPECT_EQ(warm.exit_code, cold.exit_code);
+  EXPECT_NE(warm.output.find("cache.hits"), std::string::npos) << warm.output;
+  EXPECT_NE(warm.output.find("process.peak_rss_kb"), std::string::npos) << warm.output;
   fs::remove_all(dir);
 }
 

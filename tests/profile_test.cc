@@ -1,11 +1,14 @@
 // Tests for the self-profiling subsystem: lock probes (armed, disarmed, and
 // compiled-out), the event journal and its JSONL schema, tracer counter
-// tracks and thread lanes, flamegraph folding, thread-pool telemetry, and
-// the `sash report` aggregation.
+// tracks and thread lanes, flamegraph folding, thread-pool telemetry, the
+// `sash report` aggregation, and the pay-for-use obs::Session.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -15,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/procstat.h"
 #include "obs/profile.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -409,6 +413,68 @@ TEST(ProcStatTest, SamplerPopulatesGaugeAndJournal) {
     saw_rss = saw_rss || e.kind == EventKind::kRss;
   }
   EXPECT_TRUE(saw_rss);
+}
+
+// The pay-for-use contract of obs::Session: a run that records nothing
+// builds no sink, installs no global journal and arms nothing.
+TEST(SessionTest, NothingRequestedBuildsNothing) {
+  LockProbes::Disarm();
+  EventJournal::SetGlobal(nullptr);
+  sash::obs::Session session({});
+  EXPECT_EQ(session.tracer(), nullptr);
+  EXPECT_EQ(session.metrics(), nullptr);
+  EXPECT_EQ(session.journal(), nullptr);
+  sash::obs::Hooks hooks = session.hooks();
+  EXPECT_EQ(hooks.tracer, nullptr);
+  EXPECT_EQ(hooks.metrics, nullptr);
+  EXPECT_EQ(hooks.journal, nullptr);
+  EXPECT_EQ(EventJournal::Global(), nullptr);
+  EXPECT_FALSE(LockProbes::armed());
+  EXPECT_TRUE(session.Finish("test"));  // Nothing to write.
+}
+
+TEST(SessionTest, JournalIsGlobalForTheSessionAndWrittenAtFinish) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / ("sash_session_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  std::string journal_out = (dir / "events.jsonl").string();
+  std::string trace_out = (dir / "trace.json").string();
+  {
+    sash::obs::Session session(
+        {.trace_out = trace_out, .journal_out = journal_out, .arm_lock_probes = true});
+    ASSERT_NE(session.journal(), nullptr);
+    ASSERT_NE(session.tracer(), nullptr);
+    EXPECT_EQ(session.metrics(), nullptr);
+    EXPECT_EQ(EventJournal::Global(), session.journal());
+    EXPECT_TRUE(LockProbes::armed());
+    { sash::obs::Span span(session.tracer(), "work"); }
+    EXPECT_TRUE(session.Finish("test"));
+    EXPECT_FALSE(LockProbes::armed());
+    EXPECT_EQ(EventJournal::Global(), session.journal());  // Until destruction.
+  }
+  EXPECT_EQ(EventJournal::Global(), nullptr);
+
+  std::ifstream journal_in(journal_out);
+  std::string jsonl((std::istreambuf_iterator<char>(journal_in)), std::istreambuf_iterator<char>());
+  ASSERT_FALSE(jsonl.empty());
+  EXPECT_TRUE(EventJournal::ValidateJsonl(jsonl).empty());
+  std::ifstream trace_in(trace_out);
+  std::string trace((std::istreambuf_iterator<char>(trace_in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(trace.find("\"work\""), std::string::npos);
+  fs::remove_all(dir);
+}
+
+TEST(SessionTest, UnwritableArtifactFailsFinishAndDestructionDisarms) {
+  {
+    sash::obs::Session session(
+        {.journal_out = "/nonexistent-sash-dir/events.jsonl", .arm_lock_probes = true});
+    EXPECT_FALSE(session.Finish("test"));
+  }
+  {
+    sash::obs::Session session({.arm_lock_probes = true});
+    EXPECT_TRUE(LockProbes::armed());
+  }
+  EXPECT_FALSE(LockProbes::armed());
 }
 
 }  // namespace

@@ -39,8 +39,8 @@
 #include "monitor/guard.h"
 #include "monitor/interp.h"
 #include "obs/obs.h"
-#include "obs/procstat.h"
 #include "obs/profile.h"
+#include "obs/session.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/supervisor.h"
@@ -472,24 +472,14 @@ int CmdAnalyze(const std::vector<std::string>& args) {
     return 2;
   }
 
-  // Observability is opt-in: the tracer only when a trace file was requested,
-  // the metrics registry whenever stats or JSON output will surface it, the
+  // Observability is opt-in: the tracer only behind --trace-out, the metrics
+  // registry only when --stats or the trace's counter tracks surface it, the
   // journal (with armed lock probes) only behind --journal.
-  sash::obs::Tracer tracer;
-  sash::obs::Registry registry;
-  sash::obs::EventJournal journal(1 << 16);
-  if (!trace_out.empty()) {
-    batch.obs.tracer = &tracer;
-  }
-  if (stats || json || !trace_out.empty()) {
-    batch.obs.metrics = &registry;
-  }
-  if (!journal_out.empty()) {
-    batch.obs.journal = &journal;
-    sash::obs::EventJournal::SetGlobal(&journal);
-    sash::obs::LockProbes::Reset();
-    sash::obs::LockProbes::Arm();
-  }
+  sash::obs::Session session({.trace_out = trace_out,
+                              .journal_out = journal_out,
+                              .metrics = stats || !trace_out.empty(),
+                              .arm_lock_probes = !journal_out.empty()});
+  batch.obs = session.hooks();
 
   sash::batch::BatchResult result;
   bool via_filled = false;
@@ -540,19 +530,10 @@ int CmdAnalyze(const std::vector<std::string>& args) {
     }
   }
   if (stats) {
-    PrintStats(registry);
+    PrintStats(*session.metrics());
   }
-  if (!trace_out.empty() && !tracer.WriteChromeJson(trace_out)) {
-    std::fprintf(stderr, "sash: cannot write %s\n", trace_out.c_str());
+  if (!session.Finish("sash")) {
     return 2;
-  }
-  if (!journal_out.empty()) {
-    sash::obs::LockProbes::Disarm();
-    sash::obs::JournalLockSites(&journal);
-    if (!journal.WriteJsonl(journal_out)) {
-      std::fprintf(stderr, "sash: cannot write %s\n", journal_out.c_str());
-      return 2;
-    }
   }
   return result.ExitCode();
 }
@@ -742,41 +723,30 @@ int CmdProfile(const std::vector<std::string>& args) {
   if (inputs.empty()) {
     return Usage();
   }
+  if (journal_out.empty() || trace_out.empty() || folded_out.empty()) {
+    std::fprintf(stderr, "sash profile: --journal, --trace-out and --folded need a path\n");
+    return 2;
+  }
   std::vector<std::string> files = sash::batch::ExpandInputs(inputs);
   if (files.empty()) {
     std::fprintf(stderr, "sash profile: no .sh files found under the given inputs\n");
     return 2;
   }
 
-  sash::obs::Tracer tracer;
-  sash::obs::Registry registry;
-  sash::obs::EventJournal journal(1 << 16);
-  batch.obs.tracer = &tracer;
-  batch.obs.metrics = &registry;
-  batch.obs.journal = &journal;
-  sash::obs::EventJournal::SetGlobal(&journal);
-  sash::obs::LockProbes::Reset();
-  sash::obs::LockProbes::Arm();
+  sash::obs::Session session({.trace_out = trace_out,
+                              .journal_out = journal_out,
+                              .metrics = true,
+                              .arm_lock_probes = true});
+  batch.obs = session.hooks();
 
   sash::batch::BatchDriver driver(batch);
   sash::batch::BatchResult result = driver.Run(files);
 
-  sash::obs::LockProbes::Disarm();
-  sash::obs::JournalLockSites(&journal);
-
-  bool io_ok = true;
-  if (!journal.WriteJsonl(journal_out)) {
-    std::fprintf(stderr, "sash profile: cannot write %s\n", journal_out.c_str());
-    io_ok = false;
-  }
-  if (!tracer.WriteChromeJson(trace_out)) {
-    std::fprintf(stderr, "sash profile: cannot write %s\n", trace_out.c_str());
-    io_ok = false;
-  }
+  bool io_ok = session.Finish("sash profile");
   {
     std::ofstream out(folded_out, std::ios::trunc);
     if (out) {
-      out << sash::obs::CollapsedStacks(tracer.Events());
+      out << sash::obs::CollapsedStacks(session.tracer()->Events());
     }
     if (!out) {
       std::fprintf(stderr, "sash profile: cannot write %s\n", folded_out.c_str());
@@ -784,7 +754,7 @@ int CmdProfile(const std::vector<std::string>& args) {
     }
   }
 
-  sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(journal.Drain());
+  sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(session.journal()->Drain());
   std::printf("profiled %zu file(s), jobs=%d\n", result.files.size(),
               batch.jobs > 0 ? batch.jobs : 0);
   std::printf("%s", sash::obs::FormatReport(summary).c_str());
@@ -1108,13 +1078,9 @@ int CmdServe(const std::vector<std::string>& args) {
     return rc;
   }
 
-  sash::obs::Registry registry;
-  sash::obs::EventJournal journal(1 << 16);
-  options.batch.obs.metrics = &registry;
-  if (!journal_out.empty()) {
-    options.batch.obs.journal = &journal;
-    sash::obs::EventJournal::SetGlobal(&journal);
-  }
+  // The registry always exists: the rpc `stats` op renders it.
+  sash::obs::Session session({.journal_out = journal_out, .metrics = true});
+  options.batch.obs = session.hooks();
 
   sash::serve::Server server(std::move(options));
   std::string error;
@@ -1138,13 +1104,9 @@ int CmdServe(const std::vector<std::string>& args) {
                static_cast<long long>(final_stats.timeouts),
                static_cast<long long>(final_stats.drain_cancelled));
   if (stats) {
-    PrintStats(registry);
+    PrintStats(*session.metrics());
   }
-  if (!journal_out.empty() && !journal.WriteJsonl(journal_out)) {
-    std::fprintf(stderr, "sash serve: cannot write %s\n", journal_out.c_str());
-    return 2;
-  }
-  return 0;
+  return session.Finish("sash serve") ? 0 : 2;
 }
 
 int CmdTypeof(const std::vector<std::string>& args) {
