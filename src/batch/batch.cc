@@ -127,7 +127,7 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
                                util::CancelToken* abort, util::CancelToken* budget,
                                CacheCommitQueue* commit) {
   obs::StopWatch watch;
-  obs::Span span(options.obs.tracer, "analyze:" + path);
+  obs::Span span(options.obs.journal, "analyze");
   obs::Registry* metrics = options.obs.metrics;
   FileResult result;
   result.path = path;
@@ -195,7 +195,7 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   // clamped by the caller and it stays cancellable from outside.
   util::CancelToken local_budget;
   core::AnalyzerOptions per_file = options.analyzer;
-  per_file.obs = options.obs;  // Shared tracer/registry are thread-safe.
+  per_file.obs = options.obs;  // Shared journal/registry are thread-safe.
   if (budget != nullptr) {
     per_file.cancel = budget;
   } else if (options.deadline_ms > 0) {
@@ -284,7 +284,7 @@ BatchResult BatchDriver::RunSourcesImpl(
 
   // One committer per batch: workers enqueue encoded entries into per-worker
   // lanes; the committer alone performs the cache file writes, so
-  // "batch.cache.write" never sits on a worker's critical path. Flushed
+  // the "cache.write" span never sits on a worker's critical path. Flushed
   // below before hit/miss accounting, which preserves the invariant that a
   // completed run's entries are all durable before Run returns (warm replay
   // stays byte-identical to the synchronous path).

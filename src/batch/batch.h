@@ -36,7 +36,7 @@ struct BatchOptions {
   // External annotation directives (.sasht text), applied to every file and
   // folded into the cache key — editing the annotations invalidates entries.
   std::string annotations_text;
-  obs::Hooks obs;                     // Shared tracer/metrics (thread-safe).
+  obs::Hooks obs;                     // Shared journal/metrics (thread-safe).
 
   // Resilience controls.
   int64_t deadline_ms = 0;  // Per-file analysis wall-clock budget; 0 = none.
@@ -121,7 +121,7 @@ std::vector<std::string> ExpandInputs(const std::vector<std::string>& inputs);
 //
 // `commit` (optional) routes the cold-result cache install through an
 // asynchronous commit queue instead of a synchronous Cache::Put, taking the
-// "batch.cache.write" I/O off the calling worker's critical path. The batch
+// "cache.write" I/O off the calling worker's critical path. The batch
 // driver passes its per-run queue for a multi-file pool run; a single inline
 // file and the serve path pass nothing and keep
 // the synchronous install (a resident server wants the entry durable before

@@ -15,6 +15,7 @@
 
 #include "core/version.h"
 #include "obs/journal.h"
+#include "obs/trace.h"
 #include "mining/man_corpus.h"
 #include "util/faultinject.h"
 #include "util/sha256.h"
@@ -185,23 +186,6 @@ Cache::Cache(std::filesystem::path root, obs::Registry* metrics)
   }
 }
 
-namespace {
-
-// Shared probe sites for cache file I/O: not mutexes, but blocking regions
-// whose duration under parallel batch load is exactly the contention signal
-// the profiler wants (slow disk or tmpfs pressure shows up here).
-obs::LockSite* CacheReadSite() {
-  static obs::LockSite* site = obs::LockProbes::Register("batch.cache.read");
-  return site;
-}
-
-obs::LockSite* CacheWriteSite() {
-  static obs::LockSite* site = obs::LockProbes::Register("batch.cache.write");
-  return site;
-}
-
-}  // namespace
-
 std::filesystem::path Cache::DefaultRoot() {
   if (const char* dir = std::getenv("SASH_CACHE_DIR"); dir != nullptr && *dir != '\0') {
     return dir;
@@ -220,7 +204,9 @@ std::filesystem::path Cache::EntryPath(std::string_view kind, std::string_view k
 }
 
 std::optional<std::string> Cache::Get(std::string_view kind, std::string_view key) {
-  obs::ScopedWaitProbe probe(CacheReadSite());
+  // File I/O is a span, not a lock wait: slow disk shows up on the
+  // timeline, never in the contention table.
+  obs::Span span(obs::EventJournal::Global(), "cache.read");
   std::filesystem::path path = EntryPath(kind, key);
   util::FaultDecision fault;
   if (util::FaultInjector::enabled()) {
@@ -264,7 +250,7 @@ bool Cache::Put(std::string_view kind, std::string_view key, std::string_view pa
     }
     return false;
   }
-  obs::ScopedWaitProbe probe(CacheWriteSite());
+  obs::Span span(obs::EventJournal::Global(), "cache.write");
   std::filesystem::path path = EntryPath(kind, key);
   EnsureDirectories(path.parent_path());
   // Cache write failures are overwhelmingly transient (EINTR, a briefly full

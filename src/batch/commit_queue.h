@@ -2,7 +2,7 @@
 //
 // Before this existed, every worker that finished a cold analysis performed
 // its own cache file write (temp file + fsync-less stream + atomic rename)
-// inline, inside the task — so at -j8 the "batch.cache.write" probe showed
+// inline, inside the task — so at -j8 the cache-write wait probe showed
 // workers stacked up behind per-file disk I/O that has nothing to do with
 // analysis. Now workers append the encoded entry to a per-worker lane (a
 // mutex the drainer alone ever contends) and move on; a single committer

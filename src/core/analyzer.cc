@@ -148,26 +148,16 @@ AnalysisReport Analyzer::AnalyzeSource(std::string_view source) {
 
   std::vector<PhaseTiming> front_phases;
 
-  obs::StopWatch parse_watch;
-  obs::Span parse_span(options_.obs.tracer, "parse");
+  obs::Span parse_phase = obs::Span::Phase(options_.obs.journal, "parse");
   syntax::ParseOutput parsed = syntax::Parse(source);
-  parse_span.End();
-  front_phases.push_back({"parse", parse_watch.ElapsedMicros()});
-  if (options_.obs.journal != nullptr) {
-    options_.obs.journal->Emit(obs::EventKind::kPhase, "parse", front_phases.back().micros);
-  }
+  front_phases.push_back({"parse", parse_phase.End()});
 
-  obs::StopWatch annot_watch;
-  obs::Span annot_span(options_.obs.tracer, "annotations");
+  obs::Span annot_phase = obs::Span::Phase(options_.obs.journal, "annotations");
   DiagnosticSink annot_sink;
   annot::AnnotationSet annotations =
       options_.apply_annotations ? annot::ParseInlineAnnotations(source, &annot_sink)
                                  : annot::AnnotationSet{};
-  annot_span.End();
-  front_phases.push_back({"annotations", annot_watch.ElapsedMicros()});
-  if (options_.obs.journal != nullptr) {
-    options_.obs.journal->Emit(obs::EventKind::kPhase, "annotations", front_phases.back().micros);
-  }
+  front_phases.push_back({"annotations", annot_phase.End()});
 
   std::vector<Diagnostic> initial = std::move(parsed.diagnostics);
   for (Diagnostic& d : annot_sink.TakeAll()) {
@@ -198,27 +188,20 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
   AnalysisReport report;
   report.findings_ = std::move(initial);
 
-  obs::Tracer* tracer = options_.obs.tracer;
   obs::Registry* metrics = options_.obs.metrics;
   util::CancelToken* cancel = options_.cancel;
 
   // Runs `body` as a named, timed phase; the wall time always lands in the
-  // report, the span only when a tracer is attached. An expired budget skips
-  // the phase outright — findings from phases already run stand, and the
-  // report is tagged degraded below.
+  // report, the phase event only when a journal is attached. An expired
+  // budget skips the phase outright — findings from phases already run
+  // stand, and the report is tagged degraded below.
   auto phase = [&](const char* name, auto&& body) {
     if (cancel != nullptr && cancel->CheckNow()) {
       return;
     }
-    obs::StopWatch watch;
-    obs::Span span(tracer, name);
+    obs::Span timer = obs::Span::Phase(options_.obs.journal, name);
     body();
-    span.End();
-    report.phase_timings_.push_back({name, watch.ElapsedMicros()});
-    // Phase names are string literals, which is what the journal requires.
-    if (options_.obs.journal != nullptr) {
-      options_.obs.journal->Emit(obs::EventKind::kPhase, name, report.phase_timings_.back().micros);
-    }
+    report.phase_timings_.push_back({name, timer.End()});
   };
 
   // Resolve annotations against a working copy of the type library —

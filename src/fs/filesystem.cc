@@ -45,7 +45,7 @@ FileSystem::FileSystem() {
 }
 
 void FileSystem::Record(TraceOp op, std::string_view path, bool ok) const {
-  trace_.push_back(TraceEvent{op, Absolutize(path, cwd_), ok});
+  trace_.push_back(TraceEntry{op, Absolutize(path, cwd_), ok});
 }
 
 Result<int> FileSystem::ResolveToInode(std::string_view path, bool follow_last) const {

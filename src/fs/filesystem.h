@@ -39,7 +39,7 @@ enum class TraceOp {
 std::string_view TraceOpName(TraceOp op);
 
 // One recorded interaction. `path` is the (absolutized) argument path.
-struct TraceEvent {
+struct TraceEntry {
   TraceOp op;
   std::string path;
   bool ok = true;
@@ -90,7 +90,7 @@ class FileSystem {
   static std::vector<std::string> DiffSnapshots(const Snapshot& before, const Snapshot& after);
 
   // ----- interposition trace -----
-  const std::vector<TraceEvent>& trace() const { return trace_; }
+  const std::vector<TraceEntry>& trace() const { return trace_; }
   void ClearTrace() { trace_.clear(); }
 
   size_t LiveNodeCount() const;
@@ -121,7 +121,7 @@ class FileSystem {
 
   std::vector<Inode> inodes_;  // Index 0 is the root directory.
   std::string cwd_ = "/";
-  mutable std::vector<TraceEvent> trace_;
+  mutable std::vector<TraceEntry> trace_;
 };
 
 }  // namespace sash::fs

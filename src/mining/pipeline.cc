@@ -6,7 +6,7 @@
 namespace sash::mining {
 
 MiningOutcome MineCommand(const std::string& name, const obs::Hooks& hooks) {
-  obs::Span mine_span(hooks.tracer, "mine:" + name);
+  obs::Span mine_span(hooks.journal, "mine");
   MiningOutcome out;
   out.command = name;
   const auto& corpus = ManCorpus();
@@ -19,7 +19,7 @@ MiningOutcome MineCommand(const std::string& name, const obs::Hooks& hooks) {
     return out;
   }
   {
-    obs::Span span(hooks.tracer, "doc-mine");
+    obs::Span span(hooks.journal, "doc-mine");
     DocMiner miner;
     Result<specs::SyntaxSpec> syntax = miner.MineSyntax(it->second);
     if (!syntax.ok()) {
@@ -34,7 +34,7 @@ MiningOutcome MineCommand(const std::string& name, const obs::Hooks& hooks) {
 
   std::vector<ProbeRecord> records;
   {
-    obs::Span span(hooks.tracer, "probe");
+    obs::Span span(hooks.journal, "probe");
     ProbePlan plan = EnumerateProbes(out.syntax);
     out.invocations = static_cast<int>(plan.invocations.size());
     out.environments = static_cast<int>(plan.environments.size());
@@ -42,7 +42,7 @@ MiningOutcome MineCommand(const std::string& name, const obs::Hooks& hooks) {
     out.probes = static_cast<int>(records.size());
   }
   {
-    obs::Span span(hooks.tracer, "compile");
+    obs::Span span(hooks.journal, "compile");
     out.spec = CompileSpec(out.syntax, records);
     out.cases = static_cast<int>(out.spec.cases.size());
   }

@@ -45,7 +45,7 @@ struct ProbeRecord {
   bool stderr_nonempty = false;
   fs::FileSystem::Snapshot before;
   fs::FileSystem::Snapshot after;
-  std::vector<fs::TraceEvent> trace;
+  std::vector<fs::TraceEntry> trace;
 };
 
 // Executes every (invocation × environment) pair of the plan in a fresh

@@ -89,7 +89,7 @@ std::vector<std::string> ObserveEffects(const ProbeRecord& rec,
       out.push_back(tag + "write-under");  // mv/cp into a directory target.
     } else {
       // Unchanged: was it read?
-      for (const fs::TraceEvent& e : rec.trace) {
+      for (const fs::TraceEntry& e : rec.trace) {
         if ((e.op == fs::TraceOp::kRead || e.op == fs::TraceOp::kReadDir) && e.ok &&
             (e.path == path || StartsWith(e.path, path + "/"))) {
           out.push_back(tag + "read");

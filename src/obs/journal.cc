@@ -1,7 +1,6 @@
 #include "obs/journal.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 #include "obs/json.h"
@@ -33,6 +32,8 @@ std::string_view EventKindName(EventKind kind) {
       return "counter";
     case EventKind::kMark:
       return "mark";
+    case EventKind::kSpan:
+      return "span";
   }
   return "?";
 }
@@ -51,7 +52,7 @@ size_t RoundUpPow2(size_t n) {
 const std::set<std::string>& KnownKinds() {
   static const std::set<std::string>* kinds = [] {
     auto* s = new std::set<std::string>();
-    for (int k = 0; k <= static_cast<int>(EventKind::kMark); ++k) {
+    for (int k = 0; k <= static_cast<int>(EventKind::kSpan); ++k) {
       s->insert(std::string(EventKindName(static_cast<EventKind>(k))));
     }
     return s;
@@ -73,21 +74,15 @@ EventJournal::~EventJournal() {
   global_.compare_exchange_strong(self, nullptr, std::memory_order_acq_rel);
 }
 
-int64_t EventJournal::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                               epoch_)
-      .count();
-}
-
-void EventJournal::Emit(EventKind kind, const char* name, int64_t a, int64_t b, int64_t c,
-                        int64_t d) {
+void EventJournal::EmitAt(int64_t ts_us, EventKind kind, const char* name, int64_t a, int64_t b,
+                          int64_t c, int64_t d) {
   uint64_t seq = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (capacity_ - 1)];
   // Mark the slot as in-flight so a concurrent Drain skips it rather than
   // reading a half-written payload (Drain is only meaningful when producers
   // are quiescent, but it must never read torn data even when misused).
   slot.stamp.store(kEmpty, std::memory_order_relaxed);
-  slot.event.ts_us = NowMicros();
+  slot.event.ts_us = ts_us;
   slot.event.seq = seq;
   slot.event.tid = CurrentThreadId();
   slot.event.kind = kind;
@@ -152,15 +147,6 @@ std::string EventJournal::ToJsonl() const {
     out += '\n';
   }
   return out;
-}
-
-bool EventJournal::WriteJsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << ToJsonl();
-  return static_cast<bool>(out);
 }
 
 std::vector<std::string> EventJournal::ValidateJsonl(std::string_view text) {

@@ -1,10 +1,11 @@
-// A bounded, lock-free ring-buffer event journal. Producers (lock probes,
-// thread-pool workers, the RSS sampler, analyzer phase boundaries) emit
-// fixed-size events with a fetch_add and a handful of relaxed stores; when
-// the buffer wraps, the oldest events are overwritten and counted as
-// dropped. The journal is drained after the workload quiesces and flushed
-// as JSONL under the "sash-events-v1" schema (`sash profile --journal`,
-// `sash analyze --journal`).
+// A bounded, lock-free ring-buffer event journal: the process's one
+// timeline. Producers (spans, analyzer phases, lock probes, thread-pool
+// workers, the RSS sampler) emit fixed-size events with a fetch_add and a
+// handful of relaxed stores; when the buffer wraps, the oldest events are
+// overwritten and counted as dropped. The journal is drained after the
+// workload quiesces and flushed as JSONL under the "sash-events-v1" schema
+// (`--journal`) or rendered as a Chrome trace and folded stacks
+// (`--trace-out`, `--folded`; see RenderTimeline in obs/profile.h).
 //
 // Event names must have static storage duration (string literals): the hot
 // path stores the pointer, never copies, never allocates.
@@ -34,15 +35,19 @@ enum class EventKind : uint8_t {
   kLockWait = 0,    // a=wait_ns on a contended acquisition of site `name`.
   kLockSite,        // End-of-run site summary: a=wait_ns b=hold_ns
                     // c=acquisitions d=contended.
-  kTaskStart,       // Pool worker picked up a task: a=worker index
-                    // b=global queue depth after the pop.
-  kTaskStop,        // Task finished: a=worker index b=task duration (us).
+  kTaskStart,       // Pool worker picked up a task: a=worker index.
+  kTaskStop,        // Task finished: a=worker index, b=task duration (us),
+                    // measured from its task_start's ts_us.
   kSteal,           // a=thief worker index.
   kQueueDepth,      // a=global queued tasks (sampled on submit).
   kRss,             // a=current RSS KiB, b=peak RSS KiB.
-  kPhase,           // Analyzer phase completed: name=phase, a=micros.
+  kPhase,           // Analyzer phase completed: name=phase, ts_us=its
+                    // start, a=micros, b=nesting depth (as for kSpan).
   kCounter,         // Sampled registry counter: name, a=value.
   kMark,            // Free-form annotation (profile start/stop, ...).
+  kSpan,            // Completed obs::Span: name, ts_us=its start,
+                    // a=duration (us), b=nesting depth among the open
+                    // spans and phases of its thread.
 };
 
 // Stable wire names ("lock_wait", "task_start", ...). Unknown kinds render
@@ -50,9 +55,10 @@ enum class EventKind : uint8_t {
 std::string_view EventKindName(EventKind kind);
 
 struct Event {
-  int64_t ts_us = 0;      // Microseconds since the journal's construction.
+  int64_t ts_us = 0;      // Microseconds since the journal's construction
+                          // (emission time; a span's or phase's start).
   uint64_t seq = 0;       // Global emission order (monotonic, gap-free).
-  uint32_t tid = 0;       // Dense per-thread id (same space as trace spans).
+  uint32_t tid = 0;       // Dense per-thread id (obs::CurrentThreadId).
   EventKind kind = EventKind::kMark;
   const char* name = "";  // Static string; site/phase/counter identity.
   int64_t a = 0;
@@ -72,12 +78,23 @@ class EventJournal {
   // Lock-free, wait-free emission (one fetch_add + stores). Safe from any
   // thread. `name` must outlive the journal (use string literals).
   void Emit(EventKind kind, const char* name, int64_t a = 0, int64_t b = 0, int64_t c = 0,
-            int64_t d = 0);
+            int64_t d = 0) {
+    EmitAt(NowMicros(), kind, name, a, b, c, d);
+  }
+  // Emit stamped with `ts_us` instead of now: a completed span carries its
+  // start time, read from this journal's clock when the span opened.
+  void EmitAt(int64_t ts_us, EventKind kind, const char* name, int64_t a = 0, int64_t b = 0,
+              int64_t c = 0, int64_t d = 0);
 
   int64_t emitted() const { return static_cast<int64_t>(cursor_.load(std::memory_order_relaxed)); }
   int64_t dropped() const;  // Events overwritten by wrap-around.
   size_t capacity() const { return capacity_; }
-  int64_t NowMicros() const;
+  // Microseconds since the journal's construction: the one clock every
+  // event, and so every exported view, is stamped with.
+  int64_t NowMicros() const { return MicrosAt(std::chrono::steady_clock::now()); }
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_).count();
+  }
 
   // Surviving events in emission order (oldest first). Call only after
   // producers have quiesced; concurrent emission may tear in-flight slots
@@ -86,7 +103,6 @@ class EventJournal {
 
   // JSONL serialization (header line + one line per drained event).
   std::string ToJsonl() const;
-  bool WriteJsonl(const std::string& path) const;
 
   // Validates a JSONL document against sash-events-v1. Returns human-
   // readable problems; empty when conforming.

@@ -1,7 +1,8 @@
 // Umbrella header for the observability subsystem, plus the Hooks bundle the
 // analysis pipeline threads through its layers. Both pointers are optional
 // and non-owning; a default-constructed Hooks disables everything at the cost
-// of one branch per instrumentation site.
+// of one branch per instrumentation site. The journal is the one timeline
+// sink: spans, phases and pool tasks all land there.
 #ifndef SASH_OBS_OBS_H_
 #define SASH_OBS_OBS_H_
 
@@ -14,11 +15,10 @@
 namespace sash::obs {
 
 struct Hooks {
-  Tracer* tracer = nullptr;
   Registry* metrics = nullptr;
   EventJournal* journal = nullptr;
 
-  bool enabled() const { return tracer != nullptr || metrics != nullptr || journal != nullptr; }
+  bool enabled() const { return metrics != nullptr || journal != nullptr; }
 };
 
 }  // namespace sash::obs

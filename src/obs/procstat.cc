@@ -9,7 +9,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sash::obs {
 
@@ -112,15 +111,11 @@ void RssSampler::SampleOnce() {
   if (peak_gauge_ != nullptr) {
     peak_gauge_->Max(rss);
   }
-  if (hooks_.tracer != nullptr) {
-    int64_t ts = hooks_.tracer->NowMicros();
-    hooks_.tracer->RecordCounter("rss_kb", ts, rss);
-    if (cache_hits_ != nullptr) {
-      hooks_.tracer->RecordCounter("cache.hits", ts, cache_hits_->value());
-    }
-  }
   if (hooks_.journal != nullptr) {
     hooks_.journal->Emit(EventKind::kRss, "process.rss_kb", rss);
+    if (cache_hits_ != nullptr) {
+      hooks_.journal->Emit(EventKind::kCounter, "cache.hits", cache_hits_->value());
+    }
   }
 }
 

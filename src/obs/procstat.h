@@ -1,8 +1,8 @@
-// Process memory introspection and the periodic RSS sampler. PR 4 recorded
-// peak RSS once at bench exit; the sampler makes the resident set a live
-// counter track in the Chrome trace and a gauge in the metrics registry, so
-// the trace, the journal, and the bench JSON all agree on where memory went
-// during a batch run, not just where it ended.
+// Process memory introspection and the periodic RSS sampler. The sampler
+// makes the resident set a live series in the event journal (and so a
+// counter track in the Chrome trace rendered from it) and a gauge in the
+// metrics registry, so the trace, the journal, and the bench JSON all agree
+// on where memory went during a batch run, not just where it ended.
 #ifndef SASH_OBS_PROCSTAT_H_
 #define SASH_OBS_PROCSTAT_H_
 
@@ -23,12 +23,12 @@ int64_t CurrentRssKb();
 // unavailable.
 int64_t PeakRssKb();
 
-// Samples RSS (and optionally a couple of registry counters) on a background
+// Samples RSS (and the registry's "cache.hits" counter) on a background
 // thread for the lifetime of the object. Each sample updates the
-// "process.rss_kb" gauge, raises "process.peak_rss_kb", appends to the
-// tracer's "rss_kb" counter track, and journals an rss event. One sample is
-// taken immediately on construction and one on destruction, so even runs
-// shorter than the period get endpoints.
+// "process.rss_kb" gauge, raises "process.peak_rss_kb", and journals an rss
+// event plus a "cache.hits" counter event (the trace's "rss_kb" and
+// "cache.hits" tracks). One sample is taken immediately on construction and
+// one on destruction, so even runs shorter than the period get endpoints.
 class RssSampler {
  public:
   // Any Hooks member may be null; a sampler with nothing attached is inert.

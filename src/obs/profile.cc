@@ -12,6 +12,15 @@ namespace sash::obs {
 
 namespace {
 
+// One span of the rendered timeline.
+struct TimedSpan {
+  const char* name;
+  int64_t ts_us;
+  int64_t dur_us;
+  uint32_t tid;
+  int depth;
+};
+
 // An open span on the per-thread reconstruction stack.
 struct OpenFrame {
   std::string path;        // "a;b;c" up to and including this span.
@@ -24,7 +33,9 @@ class JournalAccumulator {
  public:
   void Add(std::string_view ev, std::string_view name, int64_t ts_us, int64_t a, int64_t b,
            int64_t c, int64_t d) {
-    summary_.span_us = std::max(summary_.span_us, ts_us);
+    // Span and phase events are stamped with their start; they end a later.
+    summary_.span_us =
+        std::max(summary_.span_us, ev == "span" || ev == "phase" ? ts_us + a : ts_us);
     if (ev == "lock_site") {
       JournalSummary::Site& site = SiteFor(name);
       site.wait_ns = a;
@@ -121,24 +132,105 @@ std::string FormatMs(int64_t us) {
 
 }  // namespace
 
-std::string CollapsedStacks(const std::vector<TraceEvent>& events) {
-  // Events() is sorted by start time with parents before same-microsecond
-  // children, so a per-thread stack keyed by depth reconstructs the nesting.
+TimelineViews RenderTimeline(const std::vector<Event>& events, int64_t dropped) {
+  std::vector<TimedSpan> spans;
+  std::vector<const Event*> samples;
+  std::map<uint32_t, int64_t> task_start_us;  // tid -> its open task's start.
+  std::map<uint32_t, int64_t> lanes;          // tid -> worker index.
+  for (const Event& e : events) {
+    switch (e.kind) {
+      case EventKind::kSpan:
+      case EventKind::kPhase:
+        spans.push_back({e.name, e.ts_us, e.a, e.tid, static_cast<int>(e.b)});
+        break;
+      case EventKind::kTaskStart:
+        task_start_us[e.tid] = e.ts_us;
+        lanes[e.tid] = e.a;
+        break;
+      case EventKind::kTaskStop: {
+        // Without its task_start (lost to wrap-around, and so was every
+        // earlier event of the thread), the duration still places the task.
+        auto it = task_start_us.find(e.tid);
+        int64_t start = it != task_start_us.end() ? it->second : e.ts_us - e.b;
+        // Depth -1 until the lane shift below makes the task its lane's root.
+        spans.push_back({"task", start, e.b, e.tid, -1});
+        lanes[e.tid] = e.a;
+        break;
+      }
+      case EventKind::kRss:
+      case EventKind::kCounter:
+        samples.push_back(&e);
+        break;
+      default:
+        break;
+    }
+  }
+  // A worker runs spans only inside tasks, and their depth counts from the
+  // task's inside; shift every span on a worker lane one level down.
+  for (TimedSpan& span : spans) {
+    span.depth += lanes.count(span.tid) != 0 ? 1 : 0;
+  }
+  // Ties (sub-microsecond spans) resolve by depth so a parent precedes the
+  // children that started within the same microsecond.
+  std::stable_sort(spans.begin(), spans.end(), [](const TimedSpan& a, const TimedSpan& b) {
+    return a.ts_us != b.ts_us ? a.ts_us < b.ts_us : a.depth < b.depth;
+  });
+
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("traceEvents").BeginArray();
+  for (const TimedSpan& span : spans) {
+    w.BeginObject();
+    w.KV("name", span.name);
+    w.KV("ph", "X");  // Complete event: ts + dur.
+    w.KV("ts", span.ts_us);
+    w.KV("dur", span.dur_us);
+    w.KV("pid", int64_t{1});
+    w.KV("tid", static_cast<int64_t>(span.tid));
+    w.Key("args").BeginObject().KV("depth", span.depth).EndObject();
+    w.EndObject();
+  }
+  for (const Event* e : samples) {
+    w.BeginObject();
+    w.KV("name", e->kind == EventKind::kRss ? "rss_kb" : e->name);
+    w.KV("ph", "C");  // Counter track sample.
+    w.KV("ts", e->ts_us);
+    w.KV("pid", int64_t{1});
+    w.KV("tid", int64_t{0});
+    w.Key("args").BeginObject().KV("value", e->a).EndObject();
+    w.EndObject();
+  }
+  for (const auto& [tid, worker] : lanes) {
+    w.BeginObject();
+    w.KV("name", "thread_name");
+    w.KV("ph", "M");  // Metadata: labels the tid's lane in the viewer.
+    w.KV("pid", int64_t{1});
+    w.KV("tid", static_cast<int64_t>(tid));
+    w.Key("args").BeginObject().KV("name", "worker-" + std::to_string(worker)).EndObject();
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("otherData").BeginObject().KV("dropped", dropped).EndObject();
+  w.KV("displayTimeUnit", "ms");
+  w.EndObject();
+
+  // Sorted by start with parents first, so a per-thread stack keyed by
+  // depth reconstructs the nesting.
   std::map<std::string, int64_t> folded;
   std::map<uint32_t, std::vector<OpenFrame>> stacks;
-  for (const TraceEvent& e : events) {
-    std::vector<OpenFrame>& stack = stacks[e.tid];
+  for (const TimedSpan& span : spans) {
+    std::vector<OpenFrame>& stack = stacks[span.tid];
     // Anything at this depth or deeper has ended (spans at one depth on one
     // thread cannot overlap).
-    while (static_cast<int>(stack.size()) > e.depth) {
+    while (static_cast<int>(stack.size()) > span.depth) {
       FoldFrame(&folded, stack.back());
       stack.pop_back();
     }
     OpenFrame frame;
-    frame.path = stack.empty() ? e.name : stack.back().path + ";" + e.name;
-    frame.duration_us = e.duration_us;
+    frame.path = stack.empty() ? span.name : stack.back().path + ";" + span.name;
+    frame.duration_us = span.dur_us;
     if (!stack.empty()) {
-      stack.back().child_us += e.duration_us;
+      stack.back().child_us += span.dur_us;
     }
     stack.push_back(std::move(frame));
   }
@@ -148,14 +240,12 @@ std::string CollapsedStacks(const std::vector<TraceEvent>& events) {
       stack.pop_back();
     }
   }
-  std::string out;
+  TimelineViews views;
+  views.chrome_json = w.Take();
   for (const auto& [path, self_us] : folded) {
-    out += path;
-    out += ' ';
-    out += std::to_string(self_us);
-    out += '\n';
+    views.folded += path + ' ' + std::to_string(self_us) + '\n';
   }
-  return out;
+  return views;
 }
 
 void JournalLockSites(EventJournal* journal) {
@@ -163,13 +253,8 @@ void JournalLockSites(EventJournal* journal) {
     return;
   }
   for (const LockSiteSnapshot& s : LockProbes::Snapshot()) {
-    // Names come from LockProbes::Register(const char*), so the pointer in
-    // the snapshot's string is not static — but the registered site list is
-    // leaked and stable, so re-emit via the site registry's storage. The
-    // snapshot keeps its own copy; emit with the snapshot's c_str() is unsafe
-    // after it dies, so journal consumers must drain before the snapshot
-    // goes away. Drain happens inside ToJsonl immediately after in practice;
-    // to be safe, intern through a static pool here.
+    // The journal keeps only the name pointer and the snapshot's name is a
+    // copy, so intern it in a leaked pool that outlives every journal.
     static std::mutex pool_mu;
     static std::set<std::string>* pool = new std::set<std::string>();
     const char* stable_name = nullptr;

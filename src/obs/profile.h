@@ -1,7 +1,8 @@
-// Post-processing for profile runs: flamegraph folding of tracer spans,
-// lock-site summaries into the journal, and the aggregation behind
-// `sash report` (top contended sites, per-worker utilization, per-phase
-// breakdown). Everything here runs after the workload, off the hot path.
+// Post-processing for profile runs: the Chrome trace and flamegraph views
+// of the journal's timeline, lock-site summaries into the journal, and the
+// aggregation behind `sash report` (top contended sites, per-worker
+// utilization, per-phase breakdown). Everything here runs after the
+// workload, off the hot path.
 #ifndef SASH_OBS_PROFILE_H_
 #define SASH_OBS_PROFILE_H_
 
@@ -13,16 +14,29 @@
 #include <vector>
 
 #include "obs/journal.h"
-#include "obs/trace.h"
 
 namespace sash::obs {
 
-// Folds completed spans into collapsed-stack ("flamegraph") lines:
-// "parse;expand;symex 1234" where the count is *self* microseconds (the
-// span's duration minus its direct children). Stacks are reconstructed per
-// thread from the recorded nesting depth; identical stacks are merged and
-// output sorted by stack name for determinism.
-std::string CollapsedStacks(const std::vector<TraceEvent>& events);
+// Both views of one drained journal's timeline.
+struct TimelineViews {
+  // Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev): "X" spans
+  // on per-thread lanes, "M" worker-N lane names, "C" counter tracks, and
+  // the journal's dropped count under "otherData" so a timeline cut short
+  // by wrap-around says so.
+  std::string chrome_json;
+  // Collapsed-stack ("flamegraph") lines, "task;parse 1234", where the
+  // count is *self* microseconds (the span's duration minus its direct
+  // children); identical stacks merged, sorted by stack for determinism.
+  std::string folded;
+};
+
+// Renders the timeline of `events` (in emission order, as Drain returns
+// them). The spans are the span and phase events, nested per thread by
+// their recorded depth, plus one "task" span per pool task_start/task_stop
+// pair, which roots its worker's lane and names it after task_start's
+// worker index. The counter tracks are "rss_kb" from rss events and each
+// counter event's name.
+TimelineViews RenderTimeline(const std::vector<Event>& events, int64_t dropped);
 
 // Emits one kLockSite summary event per registered probe site into
 // `journal` (a=wait_ns, b=hold_ns, c=acquisitions, d=contended), so a

@@ -1,19 +1,17 @@
 #include "obs/session.h"
 
 #include <cstdio>
+#include <fstream>
 
 #include "obs/profile.h"
 
 namespace sash::obs {
 
 Session::Session(SessionOptions options) : options_(std::move(options)) {
-  if (!options_.trace_out.empty()) {
-    tracer_ = std::make_unique<Tracer>();
-  }
   if (options_.metrics) {
     metrics_ = std::make_unique<Registry>();
   }
-  if (!options_.journal_out.empty()) {
+  if (!options_.journal_out.empty() || !options_.trace_out.empty()) {
     journal_ = std::make_unique<EventJournal>();
     EventJournal::SetGlobal(journal_.get());
   }
@@ -30,22 +28,35 @@ Session::~Session() {
   }
 }
 
-bool Session::Finish(const char* who) {
+bool Session::Finish(const char* who, const std::string& folded_out) {
   if (armed_) {
     LockProbes::Disarm();
     armed_ = false;
     JournalLockSites(journal_.get());
   }
-  bool ok = true;
-  auto report = [&](const std::string& path) {
-    std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
-    ok = false;
-  };
-  if (journal_ != nullptr && !journal_->WriteJsonl(options_.journal_out)) {
-    report(options_.journal_out);
+  if (journal_ == nullptr) {
+    return true;
   }
-  if (tracer_ != nullptr && !tracer_->WriteChromeJson(options_.trace_out)) {
-    report(options_.trace_out);
+  bool ok = true;
+  auto write = [&](const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << text;
+    if (!out) {
+      std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+      ok = false;
+    }
+  };
+  if (!options_.journal_out.empty()) {
+    write(options_.journal_out, journal_->ToJsonl());
+  }
+  if (!options_.trace_out.empty() || !folded_out.empty()) {
+    TimelineViews views = RenderTimeline(journal_->Drain(), journal_->dropped());
+    if (!options_.trace_out.empty()) {
+      write(options_.trace_out, views.chrome_json + '\n');
+    }
+    if (!folded_out.empty()) {
+      write(folded_out, views.folded);
+    }
   }
   return ok;
 }

@@ -1,9 +1,11 @@
 // One command's observability set-up, paid for only as far as it is used.
-// Each sink — span tracer, metrics registry, event journal — is built only
-// when the run asks for it; a Session with nothing requested allocates
-// nothing and hands out null hooks, so the disabled path costs one branch
-// per instrumentation site and no start-up time. `sash analyze`, `sash
-// profile`, `sash serve` and each supervised daemon incarnation share it.
+// Each sink — metrics registry, event journal — is built only when the run
+// asks for it; a Session with nothing requested allocates nothing and hands
+// out null hooks, so the disabled path costs one branch per instrumentation
+// site and no start-up time. The journal is the one timeline: the Chrome
+// trace and the folded stacks are views of it, rendered at Finish. `sash
+// analyze`, `sash profile`, `sash serve` and each supervised daemon
+// incarnation share it.
 //
 //   obs::Session session({.trace_out = "t.json", .metrics = stats});
 //   batch.obs = session.hooks();
@@ -20,9 +22,11 @@
 namespace sash::obs {
 
 struct SessionOptions {
-  std::string trace_out{};    // Non-empty: record spans; Finish writes a Chrome trace.
-  std::string journal_out{};  // Non-empty: keep an event journal, installed as
-                              // EventJournal::Global(); Finish writes its JSONL.
+  std::string trace_out{};    // Non-empty: keep the journal; Finish writes the
+                              // Chrome trace rendered from it.
+  std::string journal_out{};  // Non-empty: keep the journal; Finish writes its JSONL.
+                              // Either one installs the journal as
+                              // EventJournal::Global() for the session.
   bool metrics = false;       // Keep a metrics registry.
   bool arm_lock_probes = false;  // Reset and arm the lock probes for the
                                  // session; Finish journals their site totals.
@@ -36,19 +40,19 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  Hooks hooks() const { return {tracer(), metrics(), journal()}; }
-  Tracer* tracer() const { return tracer_.get(); }
+  Hooks hooks() const { return {metrics(), journal()}; }
   Registry* metrics() const { return metrics_.get(); }
   EventJournal* journal() const { return journal_.get(); }
 
   // Disarms the lock probes and journals their site totals, then writes the
-  // requested trace and journal files. Each unwritable file is reported on
-  // stderr as "<who>: cannot write PATH"; false when any write failed.
-  bool Finish(const char* who);
+  // requested views of the drained journal: the JSONL, the Chrome trace,
+  // and, when `folded_out` is non-empty, the collapsed stacks (`sash
+  // profile --folded`). Each unwritable file is reported on stderr
+  // as "<who>: cannot write PATH"; false when any write failed.
+  bool Finish(const char* who, const std::string& folded_out = {});
 
  private:
   SessionOptions options_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Registry> metrics_;
   std::unique_ptr<EventJournal> journal_;
   bool armed_ = false;

@@ -1,10 +1,6 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <atomic>
-#include <fstream>
-
-#include "obs/json.h"
 
 namespace sash::obs {
 
@@ -18,146 +14,35 @@ uint32_t CurrentThreadId() {
 
 namespace {
 
-// Per-thread span nesting depth. Indexed implicitly by being thread_local.
+// Per-thread nesting depth of the armed spans and phases open on it.
 thread_local int tls_span_depth = 0;
 
 }  // namespace
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-
-int64_t Tracer::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                               epoch_)
-      .count();
-}
-
-void Tracer::Record(std::string name, int64_t start_us, int64_t duration_us, uint32_t tid,
-                    int depth) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.start_us = start_us;
-  e.duration_us = duration_us;
-  e.tid = tid;
-  e.depth = depth;
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::RecordCounter(std::string_view name, int64_t ts_us, int64_t value) {
-  CounterEvent e;
-  e.name = name;
-  e.ts_us = ts_us;
-  e.value = value;
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.push_back(std::move(e));
-}
-
-void Tracer::SetThreadName(uint32_t tid, std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [existing_tid, existing_name] : thread_names_) {
-    if (existing_tid == tid) {
-      existing_name = std::move(name);
-      return;
-    }
-  }
-  thread_names_.emplace_back(tid, std::move(name));
-}
-
-std::vector<CounterEvent> Tracer::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
-}
-
-std::vector<TraceEvent> Tracer::Events() const {
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = events_;
-  }
-  // Ties (sub-microsecond spans) resolve by depth so a parent precedes the
-  // children that started within the same microsecond.
-  std::stable_sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
-    if (a.start_us != b.start_us) {
-      return a.start_us < b.start_us;
-    }
-    return a.depth < b.depth;
-  });
-  return out;
-}
-
-std::string Tracer::ToChromeJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("traceEvents").BeginArray();
-  for (const TraceEvent& e : Events()) {
-    w.BeginObject();
-    w.KV("name", e.name);
-    w.KV("ph", "X");  // Complete event: ts + dur.
-    w.KV("ts", e.start_us);
-    w.KV("dur", e.duration_us);
-    w.KV("pid", int64_t{1});
-    w.KV("tid", static_cast<int64_t>(e.tid));
-    w.Key("args").BeginObject().KV("depth", int64_t{e.depth}).EndObject();
-    w.EndObject();
-  }
-  for (const CounterEvent& c : Counters()) {
-    w.BeginObject();
-    w.KV("name", c.name);
-    w.KV("ph", "C");  // Counter track sample.
-    w.KV("ts", c.ts_us);
-    w.KV("pid", int64_t{1});
-    w.KV("tid", int64_t{0});
-    w.Key("args").BeginObject().KV("value", c.value).EndObject();
-    w.EndObject();
-  }
-  {
-    std::vector<std::pair<uint32_t, std::string>> names;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      names = thread_names_;
-    }
-    for (const auto& [tid, name] : names) {
-      w.BeginObject();
-      w.KV("name", "thread_name");
-      w.KV("ph", "M");  // Metadata: labels the tid's lane in the viewer.
-      w.KV("pid", int64_t{1});
-      w.KV("tid", static_cast<int64_t>(tid));
-      w.Key("args").BeginObject().KV("name", name).EndObject();
-      w.EndObject();
-    }
-  }
-  w.EndArray();
-  w.KV("displayTimeUnit", "ms");
-  w.EndObject();
-  return w.Take();
-}
-
-bool Tracer::WriteChromeJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << ToChromeJson() << '\n';
-  return static_cast<bool>(out);
-}
-
-Span::Span(Tracer* tracer, std::string_view name) : tracer_(tracer) {
-  if (tracer_ == nullptr) {
+Span::Span(EventJournal* journal, EventKind kind, const char* name, bool always_timed)
+    : journal_(journal), kind_(kind), name_(name), open_(journal != nullptr || always_timed) {
+  if (!open_) {
     return;
   }
-  name_ = name;
-  start_us_ = tracer_->NowMicros();
-  depth_ = tls_span_depth++;
+  if (journal_ != nullptr) {
+    depth_ = tls_span_depth++;
+  }
+  start_ = std::chrono::steady_clock::now();
 }
 
-void Span::End() {
-  if (tracer_ == nullptr) {
-    return;
+int64_t Span::End() {
+  if (!open_) {
+    return 0;
   }
-  int64_t end_us = tracer_->NowMicros();
-  --tls_span_depth;
-  tracer_->Record(std::move(name_), start_us_, end_us - start_us_, CurrentThreadId(), depth_);
-  tracer_ = nullptr;
+  open_ = false;
+  const int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
+  if (journal_ != nullptr) {
+    --tls_span_depth;
+    journal_->EmitAt(journal_->MicrosAt(start_), kind_, name_, micros, depth_);
+  }
+  return micros;
 }
 
 }  // namespace sash::obs

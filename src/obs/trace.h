@@ -1,107 +1,63 @@
-// Span-based tracing with Chrome-tracing JSON export. A Span is an RAII
-// region timed against the monotonic clock; spans nest per thread and the
-// export is loadable by chrome://tracing and Perfetto (ui.perfetto.dev).
+// Timed regions recorded into the event journal. A Span is an RAII region
+// that, when it ends, emits one completed-span event (start, duration,
+// nesting depth) on the journal's clock; the Chrome trace and the folded
+// stacks are rendered from the drained journal afterwards (RenderTimeline
+// in obs/profile.h), so there is one timeline with one epoch.
 //
-//   obs::Tracer tracer;
 //   {
-//     obs::Span span(&tracer, "symex");   // null tracer -> single branch,
-//     ...                                 // no clock read, nothing recorded
+//     obs::Span span(hooks.journal, "symex");   // null journal -> one branch,
+//     ...                                       // no clock read, no event
 //   }
-//   tracer.WriteChromeJson("trace.json");
 #ifndef SASH_OBS_TRACE_H_
 #define SASH_OBS_TRACE_H_
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <vector>
+
+#include "obs/journal.h"
 
 namespace sash::obs {
 
-// The dense per-process thread id used across every export surface: trace
-// span lanes, the event journal, and thread-name metadata all draw from this
-// one sequence, so a given OS thread has the same id everywhere.
+// The dense per-process thread id used across every export surface: journal
+// events, and through them trace lanes and thread-name metadata, all draw
+// from this one sequence, so a given OS thread has the same id everywhere.
 uint32_t CurrentThreadId();
 
-// One completed span, in microseconds relative to the tracer's epoch.
-struct TraceEvent {
-  std::string name;
-  int64_t start_us = 0;
-  int64_t duration_us = 0;
-  uint32_t tid = 0;   // Stable per-thread id (dense, assigned on first span).
-  int depth = 0;      // Nesting depth within the thread at entry, 0-based.
-};
-
-// One sample on a counter track (Chrome "C" event): queue depth, cache
-// hits, RSS — rendered by Perfetto as a stacked area chart.
-struct CounterEvent {
-  std::string name;
-  int64_t ts_us = 0;
-  int64_t value = 0;
-};
-
-class Tracer {
- public:
-  Tracer();
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  // Microseconds since this tracer was constructed (monotonic clock).
-  int64_t NowMicros() const;
-
-  void Record(std::string name, int64_t start_us, int64_t duration_us, uint32_t tid, int depth);
-
-  // Appends one sample to the named counter track ("C" phase in the Chrome
-  // export). Thread-safe; cheap enough for periodic samplers, not for loops.
-  void RecordCounter(std::string_view name, int64_t ts_us, int64_t value);
-
-  // Names a thread's lane in the export ("M"/thread_name metadata), e.g.
-  // "worker-3". Last write per tid wins.
-  void SetThreadName(uint32_t tid, std::string name);
-
-  // Copy of all recorded events, sorted by start time.
-  std::vector<TraceEvent> Events() const;
-
-  // Copy of all counter samples, in recording order.
-  std::vector<CounterEvent> Counters() const;
-
-  // Chrome trace-event format: {"traceEvents":[{"ph":"X",...},...]}.
-  std::string ToChromeJson() const;
-
-  // Writes ToChromeJson() to `path`; false on I/O error.
-  bool WriteChromeJson(const std::string& path) const;
-
- private:
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-  std::vector<CounterEvent> counters_;
-  std::vector<std::pair<uint32_t, std::string>> thread_names_;
-};
-
-// RAII timed region. With a null tracer every member is a no-op (the
-// disabled-path cost is one branch; not even the clock is read).
+// RAII timed region. With a null journal every member is a no-op (the
+// disarmed cost is one branch; not even the clock is read). `name` must be
+// a string literal, as for EventJournal::Emit.
 class Span {
  public:
-  Span(Tracer* tracer, std::string_view name);
+  Span(EventJournal* journal, const char* name)
+      : Span(journal, EventKind::kSpan, name, /*always_timed=*/false) {}
   ~Span() { End(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // Ends the span early; subsequent calls (and the destructor) are no-ops.
-  void End();
+  // An analyzer phase: timed even when disarmed, because its duration is
+  // also the report's phase_timings entry; armed, it ends as one kPhase
+  // event with the same start and duration.
+  static Span Phase(EventJournal* journal, const char* name) {
+    return Span(journal, EventKind::kPhase, name, /*always_timed=*/true);
+  }
+
+  // Ends the region and returns its duration in microseconds (0 for a
+  // disarmed Span); later calls, and the destructor, do nothing and return 0.
+  int64_t End();
 
  private:
-  Tracer* tracer_;
-  std::string name_;
-  int64_t start_us_ = 0;
+  Span(EventJournal* journal, EventKind kind, const char* name, bool always_timed);
+
+  EventJournal* journal_;
+  EventKind kind_;
+  const char* name_;
+  bool open_;
   int depth_ = 0;
+  std::chrono::steady_clock::time_point start_{};
 };
 
-// A plain monotonic stopwatch for always-on phase timing (independent of any
-// tracer; used where the timing itself is the product, e.g. PhaseTimings).
+// A plain monotonic stopwatch for always-on timing that is not a journal
+// region (per-file micros, budgets, bench loops).
 class StopWatch {
  public:
   StopWatch() : start_(std::chrono::steady_clock::now()) {}

@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <string>
-
 #include "util/faultinject.h"
 
 namespace sash::util {
@@ -115,29 +113,23 @@ void ThreadPool::RunTask(int index, std::function<void()>* task) {
     // the task, simulating a slow/starved core. Results must not change.
     FaultInjector::ApplyDelay(FaultInjector::Check(FaultSite::kPoolTask, "worker"));
   }
-  if (hooks_.journal == nullptr && hooks_.tracer == nullptr) {
+  obs::EventJournal* journal = hooks_.journal;
+  if (journal == nullptr) {
     (*task)();
     return;
   }
-  if (hooks_.journal != nullptr) {
-    hooks_.journal->Emit(obs::EventKind::kTaskStart, "pool.task", index);
-  }
-  obs::StopWatch watch;
-  {
-    obs::Span span(hooks_.tracer, "task");
-    (*task)();
-  }
-  if (hooks_.journal != nullptr) {
-    hooks_.journal->Emit(obs::EventKind::kTaskStop, "pool.task", index, watch.ElapsedMicros());
-  }
+  // The pair is the task's span: one clock, so the exported "task" span
+  // starts at task_start's stamp and lasts task_stop's duration.
+  const int64_t start_us = journal->NowMicros();
+  journal->EmitAt(start_us, obs::EventKind::kTaskStart, "pool.task", index);
+  (*task)();
+  const int64_t stop_us = journal->NowMicros();
+  journal->EmitAt(stop_us, obs::EventKind::kTaskStop, "pool.task", index, stop_us - start_us);
 }
 
 void ThreadPool::WorkerLoop(int index) {
   tls_pool = this;
   tls_index = index;
-  if (hooks_.tracer != nullptr) {
-    hooks_.tracer->SetThreadName(obs::CurrentThreadId(), "worker-" + std::to_string(index));
-  }
   for (;;) {
     std::function<void()> task;
     if (TryPopOwn(index, &task) || TrySteal(index, &task)) {

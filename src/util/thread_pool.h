@@ -15,8 +15,10 @@
 // With observability hooks attached the pool reports its own scheduling:
 // worker deque and idle locks are ProfiledMutex sites ("pool.worker",
 // "pool.idle"), each task start/stop, steal, and queue-depth change lands in
-// the event journal, every task runs under a tracer span in its worker's
-// named lane, and the "pool.queue_depth" gauge tracks backlog.
+// the event journal (the start/stop pair is the task's span in the trace,
+// on a lane named after its worker), and the "pool.queue_depth" gauge
+// tracks backlog. With default hooks a task runs with no allocation and no
+// clock read.
 #ifndef SASH_UTIL_THREAD_POOL_H_
 #define SASH_UTIL_THREAD_POOL_H_
 

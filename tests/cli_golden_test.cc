@@ -15,7 +15,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "json_normalize.h"
 #include "obs/journal.h"
@@ -187,7 +191,42 @@ TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {
   // ...the trace must be well-formed Chrome trace JSON...
   std::optional<sash::obs::JsonValue> doc = sash::obs::JsonValue::Parse(ReadFile(trace));
   ASSERT_TRUE(doc.has_value());
-  EXPECT_NE(doc->Find("traceEvents"), nullptr);
+  ASSERT_NE(doc->Find("traceEvents"), nullptr);
+
+  // One clock: every "X" span in the trace is the start and duration of a
+  // journal event — a span's or phase's (ts_us, a), or a task_start's ts_us
+  // with its task_stop's b.
+  std::set<std::pair<int64_t, int64_t>> journaled;
+  std::map<int64_t, int64_t> task_start_us;  // tid -> start.
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    std::optional<sash::obs::JsonValue> e = sash::obs::JsonValue::Parse(line);
+    ASSERT_TRUE(e.has_value());
+    if (e->Find("ev") == nullptr) {
+      continue;  // The header.
+    }
+    auto num = [&e](const char* key) { return static_cast<int64_t>(e->Find(key)->number); };
+    const std::string& ev = e->Find("ev")->string;
+    if (ev == "span" || ev == "phase") {
+      journaled.insert({num("ts_us"), num("a")});
+    } else if (ev == "task_start") {
+      task_start_us[num("tid")] = num("ts_us");
+    } else if (ev == "task_stop") {
+      journaled.insert({task_start_us[num("tid")], num("b")});
+    }
+  }
+  int spans = 0;
+  for (const sash::obs::JsonValue& e : doc->Find("traceEvents")->array) {
+    if (e.Find("ph")->string != "X") {
+      continue;
+    }
+    ++spans;
+    std::pair<int64_t, int64_t> span{static_cast<int64_t>(e.Find("ts")->number),
+                                     static_cast<int64_t>(e.Find("dur")->number)};
+    EXPECT_EQ(journaled.count(span), 1u)
+        << e.Find("name")->string << " ts=" << span.first << " dur=" << span.second;
+  }
+  EXPECT_GT(spans, 0);
   // ...and the folded stacks must contain at least one analyze frame.
   EXPECT_NE(ReadFile(folded).find("task"), std::string::npos);
 

@@ -183,13 +183,13 @@ TEST(FileSystem, TraceRecordsInterposition) {
   fs.WriteFile("/d/f", "x");
   fs.ReadFile("/d/f");
   fs.Remove("/d/f", false, false);
-  const std::vector<TraceEvent>& trace = fs.trace();
+  const std::vector<TraceEntry>& trace = fs.trace();
   ASSERT_GE(trace.size(), 4u);
   bool saw_mkdir = false;
   bool saw_create = false;
   bool saw_read = false;
   bool saw_unlink = false;
-  for (const TraceEvent& e : trace) {
+  for (const TraceEntry& e : trace) {
     if (e.op == TraceOp::kMkdir && e.path == "/d" && e.ok) {
       saw_mkdir = true;
     }

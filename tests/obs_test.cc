@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -122,48 +124,89 @@ TEST(Metrics, RegistryJsonRoundTrip) {
 
 // --- tracing --------------------------------------------------------------
 
-TEST(Trace, SpansNestAndContain) {
-  Tracer tracer;
-  {
-    Span outer(&tracer, "outer");
-    {
-      Span inner(&tracer, "inner");
+// The "X" events of a rendered Chrome trace, in trace order.
+std::vector<JsonValue> ChromeSpans(const EventJournal& journal) {
+  std::optional<JsonValue> doc =
+      JsonValue::Parse(RenderTimeline(journal.Drain(), journal.dropped()).chrome_json);
+  std::vector<JsonValue> spans;
+  if (doc.has_value() && doc->Find("traceEvents") != nullptr) {
+    for (const JsonValue& e : doc->Find("traceEvents")->array) {
+      if (e.Find("ph")->string == "X") {
+        spans.push_back(e);
+      }
     }
-    Span sibling(&tracer, "sibling");
-    sibling.End();
-    sibling.End();  // Second End is a no-op.
   }
-  std::vector<TraceEvent> events = tracer.Events();
+  return spans;
+}
+
+TEST(Trace, SpansNestAndContain) {
+  EventJournal journal(1024);
+  {
+    Span outer(&journal, "outer");
+    {
+      Span inner(&journal, "inner");
+    }
+    Span sibling(&journal, "sibling");
+    sibling.End();
+    EXPECT_EQ(sibling.End(), 0);  // Second End is a no-op.
+  }
+  // One span event per span, emitted as each ends, stamped with its start.
+  std::vector<Event> raw = journal.Drain();
+  ASSERT_EQ(raw.size(), 3u);
+  EXPECT_STREQ(raw[0].name, "inner");
+  EXPECT_EQ(raw[0].kind, EventKind::kSpan);
+  EXPECT_EQ(raw[2].b, 0);  // outer's depth.
+
+  std::vector<JsonValue> events = ChromeSpans(journal);
   ASSERT_EQ(events.size(), 3u);
+  auto depth = [](const JsonValue& e) { return e.Find("args")->Find("depth")->number; };
+  auto ts = [](const JsonValue& e) { return e.Find("ts")->number; };
+  auto end = [](const JsonValue& e) { return e.Find("ts")->number + e.Find("dur")->number; };
   // Sorted by start: outer first, then its children.
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_EQ(events[2].name, "sibling");
-  EXPECT_EQ(events[2].depth, 1);
-  // Containment: children start at or after the parent and end within it.
+  EXPECT_EQ(events[0].Find("name")->string, "outer");
+  EXPECT_EQ(depth(events[0]), 0);
+  EXPECT_EQ(events[1].Find("name")->string, "inner");
+  EXPECT_EQ(depth(events[1]), 1);
+  EXPECT_EQ(events[2].Find("name")->string, "sibling");
+  EXPECT_EQ(depth(events[2]), 1);
+  // Containment: children start at or after the parent and end within it
+  // (both are whole microseconds truncated from one clock, so allow one).
   for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].start_us, events[0].start_us);
-    EXPECT_LE(events[i].start_us + events[i].duration_us,
-              events[0].start_us + events[0].duration_us);
+    EXPECT_GE(ts(events[i]), ts(events[0]));
+    EXPECT_LE(end(events[i]), end(events[0]) + 1);
   }
 }
 
-TEST(Trace, NullTracerSpansAreNoops) {
+TEST(Trace, NullJournalSpansAreNoops) {
   Span span(nullptr, "nothing");
-  span.End();  // Must not crash; nothing recorded anywhere.
+  EXPECT_EQ(span.End(), 0);  // Must not crash; nothing recorded anywhere.
+}
+
+TEST(Trace, PhaseIsTimedWithOrWithoutJournal) {
+  Span disarmed = Span::Phase(nullptr, "parse");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(disarmed.End(), 1000);
+
+  EventJournal journal(1024);
+  Span armed = Span::Phase(&journal, "parse");
+  int64_t micros = armed.End();
+  std::vector<Event> events = journal.Drain();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, EventKind::kPhase);
+  EXPECT_EQ(events[0].a, micros);  // One timer: the report's number is the event's.
 }
 
 TEST(Trace, ChromeJsonIsWellFormed) {
-  Tracer tracer;
-  { Span span(&tracer, "phase \"x\""); }
-  std::optional<JsonValue> doc = JsonValue::Parse(tracer.ToChromeJson());
+  EventJournal journal(1024);
+  { Span span(&journal, "phase \"x\""); }
+  std::optional<JsonValue> doc =
+      JsonValue::Parse(RenderTimeline(journal.Drain(), journal.dropped()).chrome_json);
   ASSERT_TRUE(doc.has_value());
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   ASSERT_EQ(events->array.size(), 1u);
+  EXPECT_EQ(doc->Find("otherData")->Find("dropped")->number, 0);
   const JsonValue& e = events->array[0];
   EXPECT_EQ(e.Find("ph")->string, "X");
   EXPECT_EQ(e.Find("name")->string, "phase \"x\"");
@@ -210,10 +253,10 @@ constexpr char kSteamish[] =
     "rm -rf \"$STEAMROOT/\"*\n";
 
 TEST(AnalyzerIntegration, JsonReportCarriesPhasesAndFindings) {
-  Tracer tracer;
+  EventJournal journal(1024);
   Registry registry;
   core::AnalyzerOptions options;
-  options.obs.tracer = &tracer;
+  options.obs.journal = &journal;
   options.obs.metrics = &registry;
   core::Analyzer analyzer(std::move(options));
   core::AnalysisReport report = analyzer.AnalyzeSource(kSteamish);
@@ -256,11 +299,19 @@ TEST(AnalyzerIntegration, JsonReportCarriesPhasesAndFindings) {
   EXPECT_GT(metrics->Find("counters")->Find("symex.commands_executed")->number, 0);
   EXPECT_GT(metrics->Find("counters")->Find("diagnostics.warnings_or_worse")->number, 0);
 
-  // The tracer saw the same phases, and its export is Chrome-loadable JSON.
-  EXPECT_FALSE(tracer.Events().empty());
-  std::optional<JsonValue> trace = JsonValue::Parse(tracer.ToChromeJson());
+  // The journal saw the same phases with the report's own timings, and the
+  // trace rendered from it is Chrome-loadable JSON.
+  std::vector<Event> events = journal.Drain();
+  ASSERT_EQ(events.size(), report.phase_timings().size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, EventKind::kPhase);
+    EXPECT_EQ(events[i].name, report.phase_timings()[i].name);
+    EXPECT_EQ(events[i].a, report.phase_timings()[i].micros);
+  }
+  std::optional<JsonValue> trace =
+      JsonValue::Parse(RenderTimeline(events, journal.dropped()).chrome_json);
   ASSERT_TRUE(trace.has_value());
-  EXPECT_FALSE(trace->Find("traceEvents")->array.empty());
+  EXPECT_EQ(trace->Find("traceEvents")->array.size(), events.size());
 }
 
 TEST(AnalyzerIntegration, PhaseTimingsAlwaysPopulated) {

@@ -472,9 +472,10 @@ int CmdAnalyze(const std::vector<std::string>& args) {
     return 2;
   }
 
-  // Observability is opt-in: the tracer only behind --trace-out, the metrics
-  // registry only when --stats or the trace's counter tracks surface it, the
-  // journal (with armed lock probes) only behind --journal.
+  // Observability is opt-in: the journal only behind --journal or
+  // --trace-out (the trace is rendered from it), the metrics registry only
+  // when --stats or the trace's counter tracks surface it, armed lock probes
+  // only behind --journal.
   sash::obs::Session session({.trace_out = trace_out,
                               .journal_out = journal_out,
                               .metrics = stats || !trace_out.empty(),
@@ -666,10 +667,10 @@ int CmdMine(const std::vector<std::string>& args) {
 }
 
 // `sash profile`: run a batch under full instrumentation — armed lock
-// probes, event journal, tracer, metrics — and leave three artifacts behind:
-// the journal (sash-events-v1 JSONL), a Chrome trace with per-worker lanes
-// and counter tracks, and a collapsed-stack file for flamegraph tools. The
-// contention/utilization summary prints to stdout.
+// probes, event journal, metrics — and leave three artifacts behind: the
+// journal (sash-events-v1 JSONL), and two views of it, a Chrome trace with
+// per-worker lanes and counter tracks, and a collapsed-stack file for
+// flamegraph tools. The contention/utilization summary prints to stdout.
 int CmdProfile(const std::vector<std::string>& args) {
   sash::batch::BatchOptions batch;
   std::string journal_out = "sash-journal.jsonl";
@@ -742,17 +743,7 @@ int CmdProfile(const std::vector<std::string>& args) {
   sash::batch::BatchDriver driver(batch);
   sash::batch::BatchResult result = driver.Run(files);
 
-  bool io_ok = session.Finish("sash profile");
-  {
-    std::ofstream out(folded_out, std::ios::trunc);
-    if (out) {
-      out << sash::obs::CollapsedStacks(session.tracer()->Events());
-    }
-    if (!out) {
-      std::fprintf(stderr, "sash profile: cannot write %s\n", folded_out.c_str());
-      io_ok = false;
-    }
-  }
+  const bool io_ok = session.Finish("sash profile", folded_out);
 
   sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(session.journal()->Drain());
   std::printf("profiled %zu file(s), jobs=%d\n", result.files.size(),
