@@ -48,6 +48,16 @@ std::string_view FileStatusName(FileStatus status) {
   return "?";
 }
 
+FileStatus FileStatusFromName(std::string_view name) {
+  for (FileStatus status :
+       {FileStatus::kOk, FileStatus::kDegraded, FileStatus::kTimedOut, FileStatus::kCrashed}) {
+    if (FileStatusName(status) == name) {
+      return status;
+    }
+  }
+  return FileStatus::kFailed;
+}
+
 bool BatchResult::AnyError() const {
   return std::any_of(files.begin(), files.end(), [](const FileResult& f) { return !f.ok; });
 }

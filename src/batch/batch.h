@@ -66,6 +66,8 @@ struct BatchOptions {
 enum class FileStatus { kOk, kDegraded, kFailed, kTimedOut, kCrashed };
 
 std::string_view FileStatusName(FileStatus status);
+// Inverse of FileStatusName; an unknown name decodes as kFailed.
+FileStatus FileStatusFromName(std::string_view name);
 
 // The outcome for one input file.
 struct FileResult {

@@ -18,14 +18,6 @@ constexpr int64_t kDefaultWallBackstopMs = 120000;
 
 inline constexpr char kWorkerSchema[] = "sash-worker-v1";
 
-FileStatus StatusFromName(const std::string& name) {
-  if (name == "ok") return FileStatus::kOk;
-  if (name == "degraded") return FileStatus::kDegraded;
-  if (name == "timed_out") return FileStatus::kTimedOut;
-  if (name == "crashed") return FileStatus::kCrashed;
-  return FileStatus::kFailed;
-}
-
 // A filesystem-safe stem for quarantine artifacts: path separators and shell
 // metacharacters in the script's name must not escape the quarantine dir.
 std::string SanitizeName(const std::string& name) {
@@ -86,7 +78,7 @@ bool DecodeWorkerResult(const std::string& payload, FileResult* result) {
   }
   result->ok = ok->boolean;
   result->cached = cached->boolean;
-  result->status = StatusFromName(status->string);
+  result->status = FileStatusFromName(status->string);
   result->degraded_reason = degraded->string;
   result->error = error->string;
   result->warnings_or_worse = static_cast<int64_t>(warnings->number);

@@ -154,7 +154,7 @@ ScopedWaitProbe::~ScopedWaitProbe() {
   }
 }
 
-void ProfiledMutexImpl::lock() {
+void ProfiledMutex::lock() {
   if (!LockProbes::armed()) {
     mu_.lock();
     hold_start_ns_ = 0;
@@ -167,7 +167,7 @@ void ProfiledMutexImpl::lock() {
   LockContended();
 }
 
-void ProfiledMutexImpl::LockContended() {
+void ProfiledMutex::LockContended() {
   int64_t t0 = LockProbes::NowNanos();
   mu_.lock();
   int64_t now = LockProbes::NowNanos();
@@ -179,7 +179,7 @@ void ProfiledMutexImpl::LockContended() {
   hold_start_ns_ = sample_hold ? now : 0;
 }
 
-bool ProfiledMutexImpl::try_lock() {
+bool ProfiledMutex::try_lock() {
   if (!mu_.try_lock()) {
     return false;
   }
@@ -191,7 +191,7 @@ bool ProfiledMutexImpl::try_lock() {
   return true;
 }
 
-void ProfiledMutexImpl::unlock() {
+void ProfiledMutex::unlock() {
   if (hold_start_ns_ != 0) {
     site_->RecordHold(LockProbes::NowNanos() - hold_start_ns_);
     hold_start_ns_ = 0;

@@ -1,16 +1,13 @@
 // Contention-aware lock instrumentation. Every hot shared structure in the
-// pipeline (string interner, pattern cache, thread-pool queues, cache I/O,
-// the metrics registry itself) guards itself with a ProfiledMutex or wraps
-// its blocking region in a ScopedWaitProbe; each probe is tied to a named
+// pipeline (string interner, pattern cache, thread-pool queues, the metrics
+// registry itself) guards itself with a ProfiledMutex or wraps its blocking
+// region in a ScopedWaitProbe; each probe is tied to a named
 // LockSite in a process-wide registry that accumulates acquisition counts,
 // contended-wait totals, wait-time histograms, and hold times.
 //
-// Cost model, from cheapest to most expensive:
-//   - compiled out (SASH_LOCK_PROBES=0): ProfiledMutex IS a std::mutex —
-//     same size, same codegen, no site registration (checked by static_assert
-//     in tests);
-//   - compiled in, disarmed (the default at runtime): one relaxed atomic
-//     load and branch per lock/unlock, no clock reads;
+// Cost model, two runtime tiers:
+//   - disarmed (the default): one relaxed atomic load and branch per
+//     lock/unlock, no clock reads;
 //   - armed (LockProbes::Arm(), used by `sash profile` and bench_contention):
 //     one relaxed fetch_add per acquisition; hold timing is sampled 1-in-8
 //     (two clock reads on sampled acquisitions, recorded scaled), so the
@@ -29,10 +26,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef SASH_LOCK_PROBES
-#define SASH_LOCK_PROBES 1
-#endif
 
 namespace sash::obs {
 
@@ -139,20 +132,18 @@ class ScopedWaitProbe {
 // unchanged. The uncontended armed path is try_lock + one fetch_add (plus
 // two clock reads on the 1-in-8 hold-sampled acquisitions); the contended
 // path always times its wait and emits a journal event.
-class ProfiledMutexImpl {
+class ProfiledMutex {
  public:
-  explicit ProfiledMutexImpl(const char* site_name)
+  explicit ProfiledMutex(const char* site_name)
       : site_(LockProbes::Register(site_name)) {}
-  ProfiledMutexImpl(const ProfiledMutexImpl&) = delete;
-  ProfiledMutexImpl& operator=(const ProfiledMutexImpl&) = delete;
+  ProfiledMutex(const ProfiledMutex&) = delete;
+  ProfiledMutex& operator=(const ProfiledMutex&) = delete;
 
   void lock();
   bool try_lock();
   void unlock();
 
   LockSite* site() const { return site_; }
-
-  static constexpr bool kProfiled = true;
 
  private:
   void LockContended();
@@ -164,31 +155,6 @@ class ProfiledMutexImpl {
   // plain field is safe (the mutex itself orders access).
   int64_t hold_start_ns_ = 0;
 };
-
-// The compiled-out variant: bit-for-bit a std::mutex. Tests static_assert
-// that this stays true, which is the "disarmed overhead is zero" guarantee
-// for builds that define SASH_LOCK_PROBES=0.
-class PlainProfiledMutex {
- public:
-  explicit PlainProfiledMutex(const char* /*site_name*/) {}
-  PlainProfiledMutex(const PlainProfiledMutex&) = delete;
-  PlainProfiledMutex& operator=(const PlainProfiledMutex&) = delete;
-
-  void lock() { mu_.lock(); }
-  bool try_lock() { return mu_.try_lock(); }
-  void unlock() { mu_.unlock(); }
-
-  static constexpr bool kProfiled = false;
-
- private:
-  std::mutex mu_;
-};
-
-#if SASH_LOCK_PROBES
-using ProfiledMutex = ProfiledMutexImpl;
-#else
-using ProfiledMutex = PlainProfiledMutex;
-#endif
 
 }  // namespace sash::obs
 

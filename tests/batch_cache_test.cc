@@ -386,6 +386,14 @@ TEST_F(BatchCacheTest, AnalysisEntryRoundTripsVerbatim) {
   EXPECT_EQ(back->report_json, entry.report_json);
   EXPECT_EQ(back->report_text, entry.report_text);
   EXPECT_EQ(back->warnings_or_worse, 4);
+
+  // The status names the worker wire and sash-rpc-v1 carry decode back to
+  // the same enum; an unknown name is a failure.
+  for (FileStatus status : {FileStatus::kOk, FileStatus::kDegraded, FileStatus::kFailed,
+                            FileStatus::kTimedOut, FileStatus::kCrashed}) {
+    EXPECT_EQ(FileStatusFromName(FileStatusName(status)), status);
+  }
+  EXPECT_EQ(FileStatusFromName("bogus"), FileStatus::kFailed);
 }
 
 TEST_F(BatchCacheTest, MiningOutcomeRoundTripsAndCaches) {

@@ -20,9 +20,12 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "json_normalize.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
 
 namespace {
 
@@ -149,6 +152,35 @@ TEST_F(CliGoldenTest, JobsFlagSpellings) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   EXPECT_EQ(a, d);
+
+  // Every valued flag takes `--flag V` and `--flag=V`, with identical output.
+  fs::path glued_cache = cache_ / "glued";
+  fs::path spaced_cache = cache_ / "spaced";
+  RunResult glued = RunCli(Sash("analyze --format=json -j2 --cache-dir='" + glued_cache.string() +
+                                "' pipeline.sh install.sh"));
+  RunResult spaced = RunCli(Sash("analyze --format=json -j2 --cache-dir '" +
+                                 spaced_cache.string() + "' pipeline.sh install.sh"));
+  EXPECT_EQ(glued.exit_code, spaced.exit_code);
+  EXPECT_EQ(sash::testing::NormalizeJson(glued.output),
+            sash::testing::NormalizeJson(spaced.output));
+  EXPECT_TRUE(fs::exists(glued_cache / "analysis")) << "--cache-dir=D was not used";
+
+  // The annotation makes unset_var.sh clean, so a dropped file would show.
+  fs::create_directories(cache_);
+  fs::path annotations = cache_ / "tmpdir.sasht";
+  std::ofstream(annotations) << "var TMPDIR : //scratch/[a-z]+/\n";
+  RunResult ann_glued = RunCli(
+      Sash("analyze --no-cache --annotations='" + annotations.string() + "' unset_var.sh"));
+  RunResult ann_spaced = RunCli(
+      Sash("analyze --no-cache --annotations '" + annotations.string() + "' unset_var.sh"));
+  EXPECT_EQ(ann_glued.exit_code, 0);
+  EXPECT_EQ(ann_spaced.exit_code, 0);
+  EXPECT_EQ(ann_glued.output, ann_spaced.output);
+
+  std::string json_spaced = RunCli(Sash("analyze --no-cache --format json loop.sh")).output;
+  std::string json_glued = RunCli(Sash("analyze --no-cache --format=json loop.sh")).output;
+  EXPECT_EQ(sash::testing::NormalizeJson(json_spaced), sash::testing::NormalizeJson(json_glued));
+  EXPECT_EQ(json_glued.rfind("{\"schema\":\"sash-analysis-v1\"", 0), 0u) << json_glued;
 }
 
 TEST_F(CliGoldenTest, ExitCodes) {
@@ -162,6 +194,39 @@ TEST_F(CliGoldenTest, ExitCodes) {
   EXPECT_EQ(RunCli(Sash("analyze --format=json")).exit_code, 2);       // No inputs.
   EXPECT_EQ(RunCli(Sash("analyze --bogus-flag x.sh")).exit_code, 2);   // Unknown flag.
   EXPECT_EQ(RunCli(Sash("profile --no-cache --journal= x.sh")).exit_code, 2);  // Empty path.
+  EXPECT_EQ(RunCli(Sash("verify --bogus pipeline.sh")).exit_code, 2);  // Unknown flag.
+  RunResult trailing = RunCli(Sash("analyze pipeline.sh --cache-dir 2>&1"));
+  EXPECT_EQ(trailing.exit_code, 2);
+  EXPECT_NE(trailing.output.find("--cache-dir requires a value"), std::string::npos)
+      << trailing.output;
+
+  // Every integer flag rejects a non-integer, an out-of-range value and an
+  // int64 overflow by name. serve rejects them before it binds its socket.
+  fs::create_directories(cache_);
+  const fs::path socket = cache_ / "never.sock";
+  const std::pair<std::string, std::vector<std::string>> int_flags[] = {
+      {"analyze", {"--jobs", "-j", "--deadline-ms", "--max-input-bytes", "--max-rss-mb",
+                   "--worker-cpu-s"}},
+      {"profile", {"--jobs", "-j"}},
+      {"serve", {"--jobs", "-j", "--max-pending", "--max-connections", "--deadline-cap-ms",
+                 "--default-budget-ms", "--idle-timeout-ms", "--io-timeout-ms",
+                 "--drain-deadline-ms", "--max-frame-bytes", "--max-rss-mb", "--worker-cpu-s",
+                 "--max-restarts", "--heartbeat-ms"}},
+  };
+  for (const auto& [verb, flags] : int_flags) {
+    const std::string rest =
+        verb == "serve" ? "--socket '" + socket.string() + "'" : std::string("pipeline.sh");
+    for (const std::string& flag : flags) {
+      for (const char* bad : {"x", "-1", "99999999999999999999"}) {
+        std::string cmd = "timeout 20 " + Sash(verb + " " + flag + " " + bad + " " + rest);
+        RunResult r = RunCli(cmd + " 2>&1");
+        EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+        EXPECT_NE(r.output.find("sash " + verb + ": " + flag + " "), std::string::npos)
+            << cmd << "\n" << r.output;
+      }
+    }
+  }
+  EXPECT_FALSE(fs::exists(socket)) << "serve started despite a bad flag";
 
   // Partial batch: the unreadable file is reported, the readable one is
   // still analyzed, and the exit code is 2 (I/O beats findings).
@@ -170,6 +235,26 @@ TEST_F(CliGoldenTest, ExitCodes) {
   EXPECT_EQ(partial.exit_code, 2);
   EXPECT_NE(partial.output.find("exist.sh"), std::string::npos);
   EXPECT_NE(partial.output.find("unset_var.sh"), std::string::npos);
+}
+
+TEST_F(CliGoldenTest, ReportSummarizesBenchDocuments) {
+  sash::obs::Registry registry;
+  registry.counter("contention.contended.j4")->Add(17);
+  registry.gauge("contention.overhead_x10000")->Set(120);
+  std::vector<sash::obs::BenchRun> runs = {{"BM_Thing", 10, 5.0, 4.0}};
+  fs::create_directories(cache_);
+  fs::path doc = cache_ / "BENCH_contention.json";
+  std::ofstream(doc) << sash::obs::BenchReportJson("contention", runs, &registry);
+
+  RunResult r = RunCli(Sash("report '" + doc.string() + "'"));
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("(sash-bench-v1) =="), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("  bench: contention\n"), std::string::npos) << r.output;
+  for (const char* line : {"contention.contended.j4", "contention.overhead_x10000"}) {
+    EXPECT_NE(r.output.find(line), std::string::npos) << r.output;
+  }
+  EXPECT_NE(r.output.find(" 17\n"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(" 120\n"), std::string::npos) << r.output;
 }
 
 TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {

@@ -92,14 +92,6 @@ using sash::obs::LockSiteSnapshot;
 using sash::obs::JsonValue;
 using sash::obs::Span;
 
-// The "compiled-out probes cost zero" guarantee: with SASH_LOCK_PROBES=0,
-// ProfiledMutex is PlainProfiledMutex, which must be bit-for-bit a
-// std::mutex — same size, no site pointer, no hold timestamp.
-static_assert(sizeof(sash::obs::PlainProfiledMutex) == sizeof(std::mutex),
-              "PlainProfiledMutex must add nothing to std::mutex");
-static_assert(!sash::obs::PlainProfiledMutex::kProfiled);
-static_assert(sash::obs::ProfiledMutexImpl::kProfiled);
-
 // Restores the disarmed default and clears counters around each probe test,
 // so tests cannot leak arm state into each other (or into other suites).
 class LockProbeTest : public ::testing::Test {
@@ -124,9 +116,9 @@ class LockProbeTest : public ::testing::Test {
 };
 
 TEST_F(LockProbeTest, DisarmedMutexRecordsNothing) {
-  sash::obs::ProfiledMutexImpl mu("test.disarmed");
+  sash::obs::ProfiledMutex mu("test.disarmed");
   for (int i = 0; i < 10; ++i) {
-    std::lock_guard<sash::obs::ProfiledMutexImpl> lock(mu);
+    std::lock_guard<sash::obs::ProfiledMutex> lock(mu);
   }
   LockSiteSnapshot site = FindSite("test.disarmed");
   EXPECT_EQ(site.acquisitions, 0);
@@ -136,10 +128,10 @@ TEST_F(LockProbeTest, DisarmedMutexRecordsNothing) {
 }
 
 TEST_F(LockProbeTest, ArmedMutexCountsAcquisitionsAndSamplesHold) {
-  sash::obs::ProfiledMutexImpl mu("test.armed");
+  sash::obs::ProfiledMutex mu("test.armed");
   LockProbes::Arm();
   for (int i = 0; i < 16; ++i) {
-    std::lock_guard<sash::obs::ProfiledMutexImpl> lock(mu);
+    std::lock_guard<sash::obs::ProfiledMutex> lock(mu);
     // Only every 8th acquisition is hold-timed; the first after Reset() is,
     // so a little work here must show up in hold_ns.
     std::this_thread::sleep_for(std::chrono::microseconds(i < 2 ? 200 : 0));
@@ -153,7 +145,7 @@ TEST_F(LockProbeTest, ArmedMutexCountsAcquisitionsAndSamplesHold) {
 TEST_F(LockProbeTest, ContendedAcquisitionRecordsWaitAndJournals) {
   EventJournal journal(1024);
   EventJournal::SetGlobal(&journal);
-  sash::obs::ProfiledMutexImpl mu("test.contended");
+  sash::obs::ProfiledMutex mu("test.contended");
   LockProbes::Arm();
 
   std::atomic<bool> held{false};

@@ -1,35 +1,13 @@
-// The sash command-line tool.
-//
-//   sash analyze [-jN] [--cache-dir DIR] [--no-cache] [--lint] [--no-symex]
-//                [--no-stream] [--stats] [--format=json] [--trace-out FILE]
-//                [--journal FILE] <script.sh|dir>...
-//   sash profile [-jN] [--journal FILE] [--trace-out FILE] [--folded FILE]
-//                <script.sh|dir>...       (batch under full instrumentation)
-//   sash report [--journal FILE] [batch.json|bench.json]...
-//   sash lint <script.sh>
-//   sash run <script.sh> [args...]        (sandboxed; nothing touches disk)
-//   sash verify --no-rw <path> [--no-read <path>] <script.sh>
-//   sash mine [--no-cache] [--cache-dir DIR] [command]
-//   sash typeof <pipeline string>
-//   sash version
-//
-// Reads from stdin when the script operand is "-". Directory operands expand
-// to their *.sh files, recursively. Multiple operands (or -j > 1) run as a
-// batch over a work-stealing pool, each file consulting the incremental
-// result cache (default ~/.cache/sash; see README "Batch mode & caching").
-//
-// Exit codes: 0 = analysis clean (or command succeeded), 1 = findings at
-// warning severity or above (or a blocked run), 2 = usage or I/O error.
-// Partial-batch failure: every readable input is still analyzed and printed;
-// the batch exits 2 if any input could not be read, else 1 if any file had
-// findings, else 0.
+// The sash command-line tool. `sash` with no arguments prints the usage.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
+#include <variant>
 
 #include "batch/batch.h"
 #include "batch/mine_cache.h"
@@ -40,6 +18,7 @@
 #include "monitor/interp.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
+#include "obs/report.h"
 #include "obs/session.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -98,39 +77,150 @@ int Usage() {
   return 2;
 }
 
-// Strict numeric-flag parsing: non-numeric, out-of-range, and overflowing
-// values are rejected with a diagnostic (callers exit 2), where atoi/atoll
-// would silently produce 0 or saturate.
-bool NumericFlag(const char* cmd, const char* flag, const std::string& text, int64_t min,
-                 int64_t max, int64_t* out) {
-  int64_t value = 0;
-  if (!sash::ParseInt64(text, &value)) {
-    std::fprintf(stderr, "sash %s: %s expects an integer, got '%s'\n", cmd, flag, text.c_str());
-    return false;
-  }
-  if (value < min || value > max) {
-    std::fprintf(stderr, "sash %s: %s must be between %lld and %lld, got '%s'\n", cmd, flag,
-                 static_cast<long long>(min), static_cast<long long>(max), text.c_str());
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool NumericFlagInt(const char* cmd, const char* flag, const std::string& text, int64_t min,
-                    int64_t max, int* out) {
-  int64_t value = 0;
-  if (!NumericFlag(cmd, flag, text, min, max, &value)) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
 // Flag ranges shared by analyze/profile/serve.
 inline constexpr int64_t kMaxJobs = 4096;
 inline constexpr int64_t kMaxMs = 1000000000;          // ~11.5 days.
 inline constexpr int64_t kMaxBytes = 1LL << 40;        // 1 TiB.
+
+// Each verb declares its flags once, in static tables, and ParseFlags is the
+// one loop that reads them. A flag's kind follows from its field's type:
+//   - bool: a switch, which stores `on`;
+//   - std::string or std::filesystem::path: one value;
+//   - std::vector<std::string>: one value, appended each time it is given;
+//   - an integer: a value parsed strictly and checked against [min, max].
+// A valued flag is spelled `--flag V` or `--flag=V`; one with an `alias`
+// such as "-j" also takes `-jN` and `-j N`.
+template <typename T>
+struct Flag {
+  std::string_view name;
+  std::variant<bool T::*, int T::*, int64_t T::*, uint32_t T::*, std::string T::*,
+               std::filesystem::path T::*, std::vector<std::string> T::*>
+      field;
+  int64_t min = 0;
+  int64_t max = 0;
+  std::string_view alias = {};
+  bool on = true;
+};
+
+// A flag table bound to the object its fields live in.
+template <typename T>
+struct FlagGroup {
+  std::span<const Flag<T>> flags;
+  T* target;
+};
+template <typename T, size_t N>
+FlagGroup(const Flag<T> (&)[N], T*) -> FlagGroup<T>;
+
+enum class FlagMatch { kNone, kStored, kBad };
+
+// Matches the option args[*i] against one table and stores its value,
+// advancing *i past a value given as the next argument. kNone when no flag
+// of this table is spelled that way.
+template <typename T>
+FlagMatch ParseFlag(const char* verb, FlagGroup<T> group, const std::vector<std::string>& args,
+                    size_t* i) {
+  const std::string_view arg = args[*i];
+  const bool is_long = arg[1] == '-';
+  const size_t cut = std::min(is_long ? arg.find('=') : 2, arg.size());
+  const std::string spelling(arg.substr(0, cut));
+  for (const Flag<T>& flag : group.flags) {
+    if (spelling != flag.name && spelling != flag.alias) {
+      continue;
+    }
+    std::string value;
+    if (std::holds_alternative<bool T::*>(flag.field)) {
+      if (cut < arg.size()) {
+        return FlagMatch::kNone;  // A switch takes no "=value".
+      }
+    } else if (cut < arg.size()) {
+      value = arg.substr(is_long ? cut + 1 : cut);
+    } else if (*i + 1 < args.size()) {
+      value = args[++*i];
+    } else {
+      std::fprintf(stderr, "sash %s: %s requires a value\n", verb, spelling.c_str());
+      return FlagMatch::kBad;
+    }
+    return std::visit(
+        [&](auto field) {
+          auto& dest = group.target->*field;
+          using Dest = std::remove_reference_t<decltype(dest)>;
+          if constexpr (std::is_same_v<Dest, bool>) {
+            dest = flag.on;
+          } else if constexpr (std::is_integral_v<Dest>) {
+            // Strict: where atoi would read "4x" as 4 or saturate on
+            // overflow, anything but an in-range integer is an error.
+            int64_t n = 0;
+            if (!sash::ParseInt64(value, &n)) {
+              std::fprintf(stderr, "sash %s: %s expects an integer, got '%s'\n", verb,
+                           spelling.c_str(), value.c_str());
+              return FlagMatch::kBad;
+            }
+            if (n < flag.min || n > flag.max) {
+              std::fprintf(stderr, "sash %s: %s must be between %lld and %lld, got '%s'\n",
+                           verb, spelling.c_str(), static_cast<long long>(flag.min),
+                           static_cast<long long>(flag.max), value.c_str());
+              return FlagMatch::kBad;
+            }
+            dest = static_cast<Dest>(n);
+          } else if constexpr (std::is_same_v<Dest, std::vector<std::string>>) {
+            dest.push_back(std::move(value));
+          } else {
+            dest = std::move(value);
+          }
+          return FlagMatch::kStored;
+        },
+        flag.field);
+  }
+  return FlagMatch::kNone;
+}
+
+// Parses `args` against the verb's flag tables: every option is stored, every
+// other argument (including "-", the stdin operand) is appended to
+// *operands. False, after a diagnostic, on an unknown option, a missing
+// value, or a bad number; the caller exits 2.
+template <typename... T>
+bool ParseFlags(const char* verb, const std::vector<std::string>& args,
+                std::vector<std::string>* operands, FlagGroup<T>... groups) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      operands->push_back(arg);
+      continue;
+    }
+    FlagMatch match = FlagMatch::kNone;
+    ((match = match == FlagMatch::kNone ? ParseFlag(verb, groups, args, &i) : match), ...);
+    if (match == FlagMatch::kNone) {
+      std::fprintf(stderr, "sash %s: unknown option %s\n", verb, arg.c_str());
+    }
+    if (match != FlagMatch::kStored) {
+      return false;
+    }
+  }
+  return true;
+}
+
+using sash::batch::BatchOptions;
+using sash::core::AnalyzerOptions;
+
+// -j/--jobs, --cache-dir and --no-cache: analyze, profile and serve. mine
+// takes the two cache flags without -j.
+constexpr Flag<BatchOptions> kJobsAndCacheFlags[] = {
+    {.name = "--jobs", .field = &BatchOptions::jobs, .max = kMaxJobs, .alias = "-j"},
+    {"--cache-dir", &BatchOptions::cache_dir},
+    {.name = "--no-cache", .field = &BatchOptions::use_cache, .on = false},
+};
+
+// --isolate, --max-rss-mb and --worker-cpu-s: analyze and serve.
+constexpr Flag<BatchOptions> kIsolateFlags[] = {
+    {"--isolate", &BatchOptions::isolate},
+    {"--max-rss-mb", &BatchOptions::max_rss_mb, 0, kMaxBytes >> 20},
+    {"--worker-cpu-s", &BatchOptions::worker_cpu_s, 0, kMaxMs / 1000},
+};
+
+// Resource caps only apply inside a worker process, so they imply one.
+void ImplyIsolate(BatchOptions* batch) {
+  batch->isolate = batch->isolate || batch->max_rss_mb > 0 || batch->worker_cpu_s > 0;
+}
 
 // Human-readable stats table, written to stderr so it never mixes with the
 // report on stdout.
@@ -154,19 +244,16 @@ void PrintStats(const sash::obs::Registry& registry) {
 }
 
 bool ReadSource(const std::string& path, std::string* out) {
-  if (path == "-") {
-    std::ostringstream buf;
-    buf << std::cin.rdbuf();
-    *out = buf.str();
-    return true;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "sash: cannot open %s\n", path.c_str());
-    return false;
+  std::ifstream file;
+  if (path != "-") {
+    file.open(path);
+    if (!file) {
+      std::fprintf(stderr, "sash: cannot open %s\n", path.c_str());
+      return false;
+    }
   }
   std::ostringstream buf;
-  buf << in.rdbuf();
+  buf << (path == "-" ? std::cin.rdbuf() : file.rdbuf());
   *out = buf.str();
   return true;
 }
@@ -228,24 +315,6 @@ std::string BatchJson(const sash::batch::BatchResult& result, int jobs, bool cac
   return w.Take();
 }
 
-// Maps the wire `file_status` back to the batch enum so `--via` output goes
-// through exactly the same rendering path as local output.
-sash::batch::FileStatus FileStatusFromName(const std::string& name) {
-  if (name == "ok") {
-    return sash::batch::FileStatus::kOk;
-  }
-  if (name == "degraded") {
-    return sash::batch::FileStatus::kDegraded;
-  }
-  if (name == "timed_out") {
-    return sash::batch::FileStatus::kTimedOut;
-  }
-  if (name == "crashed") {
-    return sash::batch::FileStatus::kCrashed;
-  }
-  return sash::batch::FileStatus::kFailed;
-}
-
 // Runs the analyze batch against a resident server (`--via`). Returns 0 when
 // *result was filled from server responses, 1 when the caller should fall
 // back to local analysis (--fallback local after a transport failure), 2 on
@@ -293,9 +362,8 @@ int AnalyzeVia(const std::string& socket_path, bool fallback_local,
     }
     const sash::serve::RpcResponse& r = call.response;
     file.ok = r.status == sash::serve::kStatusOk;
-    file.status = !r.file_status.empty()
-                      ? FileStatusFromName(r.file_status)
-                      : (file.ok ? sash::batch::FileStatus::kOk : sash::batch::FileStatus::kFailed);
+    file.status = file.ok && r.file_status.empty() ? sash::batch::FileStatus::kOk
+                                                   : sash::batch::FileStatusFromName(r.file_status);
     file.degraded_reason = r.degraded_reason;
     file.cached = r.cached;
     file.warnings_or_worse = r.warnings_or_worse;
@@ -312,149 +380,65 @@ int AnalyzeVia(const std::string& socket_path, bool fallback_local,
   return 0;
 }
 
-int CmdAnalyze(const std::vector<std::string>& args) {
-  sash::batch::BatchOptions batch;
-  std::string annotations_file;
+// analyze's own flags; its batch and analyzer flags land in BatchOptions.
+struct AnalyzeArgs {
+  std::string annotations;
   std::string trace_out;
   std::string journal_out;
   std::string via;
   std::string fallback = "fail";
-  std::vector<std::string> inputs;
+  std::string format = "text";
   bool stats = false;
-  bool json = false;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--annotations" && i + 1 < args.size()) {
-      annotations_file = args[++i];
-    } else if (a == "--trace-out" && i + 1 < args.size()) {
-      trace_out = args[++i];
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(std::strlen("--trace-out="));
-    } else if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = a.substr(std::strlen("--journal="));
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--format=json") {
-      json = true;
-    } else if (a == "--format=text") {
-      json = false;
-    } else if (a == "--format" && i + 1 < args.size()) {
-      const std::string& fmt = args[++i];
-      if (fmt == "json") {
-        json = true;
-      } else if (fmt == "text") {
-        json = false;
-      } else {
-        std::fprintf(stderr, "sash analyze: unknown format %s\n", fmt.c_str());
-        return 2;
-      }
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash analyze: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!NumericFlagInt("analyze", "--jobs", args[++i], 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!NumericFlagInt("analyze", "-j", a.substr(2), 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!NumericFlagInt("analyze", "--jobs", a.substr(std::strlen("--jobs=")), 0, kMaxJobs,
-                          &batch.jobs)) {
-        return 2;
-      }
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      batch.cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (a == "--no-cache") {
-      batch.use_cache = false;
-    } else if (a == "--deadline-ms" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--deadline-ms", args[++i], 0, kMaxMs, &batch.deadline_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      if (!NumericFlag("analyze", "--deadline-ms", a.substr(std::strlen("--deadline-ms=")), 0,
-                       kMaxMs, &batch.deadline_ms)) {
-        return 2;
-      }
-    } else if (a == "--max-input-bytes" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--max-input-bytes", args[++i], 0, kMaxBytes,
-                       &batch.analyzer.max_input_bytes)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-input-bytes=", 0) == 0) {
-      if (!NumericFlag("analyze", "--max-input-bytes", a.substr(std::strlen("--max-input-bytes=")),
-                       0, kMaxBytes, &batch.analyzer.max_input_bytes)) {
-        return 2;
-      }
-    } else if (a == "--via" && i + 1 < args.size()) {
-      via = args[++i];
-    } else if (a.rfind("--via=", 0) == 0) {
-      via = a.substr(std::strlen("--via="));
-    } else if (a == "--fallback" && i + 1 < args.size()) {
-      fallback = args[++i];
-    } else if (a.rfind("--fallback=", 0) == 0) {
-      fallback = a.substr(std::strlen("--fallback="));
-    } else if (a == "--fail-fast") {
-      batch.fail_fast = true;
-    } else if (a == "--isolate") {
-      batch.isolate = true;
-    } else if (a == "--max-rss-mb" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--max-rss-mb", args[++i], 0, kMaxBytes >> 20,
-                       &batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-rss-mb=", 0) == 0) {
-      if (!NumericFlag("analyze", "--max-rss-mb", a.substr(std::strlen("--max-rss-mb=")), 0,
-                       kMaxBytes >> 20, &batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a == "--worker-cpu-s" && i + 1 < args.size()) {
-      if (!NumericFlag("analyze", "--worker-cpu-s", args[++i], 0, kMaxMs / 1000,
-                       &batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a.rfind("--worker-cpu-s=", 0) == 0) {
-      if (!NumericFlag("analyze", "--worker-cpu-s", a.substr(std::strlen("--worker-cpu-s=")), 0,
-                       kMaxMs / 1000, &batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a == "--idempotence") {
-      batch.analyzer.enable_idempotence_check = true;
-    } else if (a == "--coach") {
-      batch.analyzer.enable_optimization_coach = true;
-    } else if (a == "--lint") {
-      batch.analyzer.enable_lint = true;
-    } else if (a == "--no-symex") {
-      batch.analyzer.enable_symex = false;
-    } else if (a == "--no-stream") {
-      batch.analyzer.enable_stream_types = false;
-    } else if (!a.empty() && a[0] == '-' && a != "-") {
-      std::fprintf(stderr, "sash analyze: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      inputs.push_back(a);
-    }
+};
+
+constexpr Flag<AnalyzeArgs> kAnalyzeFlags[] = {
+    {"--annotations", &AnalyzeArgs::annotations},
+    {"--trace-out", &AnalyzeArgs::trace_out},
+    {"--journal", &AnalyzeArgs::journal_out},
+    {"--stats", &AnalyzeArgs::stats},
+    {"--format", &AnalyzeArgs::format},
+    {"--via", &AnalyzeArgs::via},
+    {"--fallback", &AnalyzeArgs::fallback},
+};
+
+constexpr Flag<BatchOptions> kAnalyzeBatchFlags[] = {
+    {"--deadline-ms", &BatchOptions::deadline_ms, 0, kMaxMs},
+    {"--fail-fast", &BatchOptions::fail_fast},
+};
+
+constexpr Flag<AnalyzerOptions> kAnalyzerFlags[] = {
+    {"--max-input-bytes", &AnalyzerOptions::max_input_bytes, 0, kMaxBytes},
+    {"--idempotence", &AnalyzerOptions::enable_idempotence_check},
+    {"--coach", &AnalyzerOptions::enable_optimization_coach},
+    {"--lint", &AnalyzerOptions::enable_lint},
+    {.name = "--no-symex", .field = &AnalyzerOptions::enable_symex, .on = false},
+    {.name = "--no-stream", .field = &AnalyzerOptions::enable_stream_types, .on = false},
+};
+
+int CmdAnalyze(const std::vector<std::string>& args) {
+  BatchOptions batch;
+  AnalyzeArgs cli;
+  std::vector<std::string> inputs;
+  if (!ParseFlags("analyze", args, &inputs, FlagGroup{kJobsAndCacheFlags, &batch},
+                  FlagGroup{kIsolateFlags, &batch}, FlagGroup{kAnalyzeBatchFlags, &batch},
+                  FlagGroup{kAnalyzerFlags, &batch.analyzer}, FlagGroup{kAnalyzeFlags, &cli})) {
+    return 2;
   }
   if (inputs.empty()) {
     return Usage();
   }
-  if (fallback != "fail" && fallback != "local") {
-    std::fprintf(stderr, "sash analyze: --fallback expects 'local' or 'fail', got '%s'\n",
-                 fallback.c_str());
+  if (cli.format != "text" && cli.format != "json") {
+    std::fprintf(stderr, "sash analyze: unknown format %s\n", cli.format.c_str());
     return 2;
   }
-  // Resource caps only apply inside a worker process, so they imply one.
-  if (batch.max_rss_mb > 0 || batch.worker_cpu_s > 0) {
-    batch.isolate = true;
+  if (cli.fallback != "fail" && cli.fallback != "local") {
+    std::fprintf(stderr, "sash analyze: --fallback expects 'local' or 'fail', got '%s'\n",
+                 cli.fallback.c_str());
+    return 2;
   }
+  ImplyIsolate(&batch);
 
-  if (!annotations_file.empty() && !ReadSource(annotations_file, &batch.annotations_text)) {
+  if (!cli.annotations.empty() && !ReadSource(cli.annotations, &batch.annotations_text)) {
     return 2;
   }
 
@@ -476,16 +460,16 @@ int CmdAnalyze(const std::vector<std::string>& args) {
   // --trace-out (the trace is rendered from it), the metrics registry only
   // when --stats or the trace's counter tracks surface it, armed lock probes
   // only behind --journal.
-  sash::obs::Session session({.trace_out = trace_out,
-                              .journal_out = journal_out,
-                              .metrics = stats || !trace_out.empty(),
-                              .arm_lock_probes = !journal_out.empty()});
+  sash::obs::Session session({.trace_out = cli.trace_out,
+                              .journal_out = cli.journal_out,
+                              .metrics = cli.stats || !cli.trace_out.empty(),
+                              .arm_lock_probes = !cli.journal_out.empty()});
   batch.obs = session.hooks();
 
   sash::batch::BatchResult result;
   bool via_filled = false;
-  if (!via.empty()) {
-    int rc = AnalyzeVia(via, fallback == "local", batch, files, &result);
+  if (!cli.via.empty()) {
+    int rc = AnalyzeVia(cli.via, cli.fallback == "local", batch, files, &result);
     if (rc == 2) {
       return 2;
     }
@@ -505,7 +489,7 @@ int CmdAnalyze(const std::vector<std::string>& args) {
   }
 
   const bool single = result.files.size() == 1;
-  if (json) {
+  if (cli.format == "json") {
     if (single && result.files[0].ok) {
       // Single-file JSON stays a plain sash-analysis-v1 document; the bytes
       // are the cold run's whether this run was cold or warm.
@@ -530,13 +514,10 @@ int CmdAnalyze(const std::vector<std::string>& args) {
       std::fprintf(stderr, "sash: %s\n", f.error.c_str());
     }
   }
-  if (stats) {
+  if (cli.stats) {
     PrintStats(*session.metrics());
   }
-  if (!session.Finish("sash")) {
-    return 2;
-  }
-  return result.ExitCode();
+  return session.Finish("sash") ? result.ExitCode() : 2;
 }
 
 int CmdLint(const std::vector<std::string>& args) {
@@ -586,23 +567,22 @@ int CmdRun(const std::vector<std::string>& args) {
   return result.exit_code;
 }
 
+constexpr Flag<sash::monitor::EffectPolicy> kVerifyFlags[] = {
+    {"--no-rw", &sash::monitor::EffectPolicy::no_write},
+    {"--no-read", &sash::monitor::EffectPolicy::no_read},
+};
+
 int CmdVerify(const std::vector<std::string>& args) {
   sash::monitor::EffectPolicy policy;
-  std::string file;
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--no-rw" && i + 1 < args.size()) {
-      policy.no_write.push_back(args[++i]);
-    } else if (args[i] == "--no-read" && i + 1 < args.size()) {
-      policy.no_read.push_back(args[++i]);
-    } else {
-      file = args[i];
-    }
+  std::vector<std::string> operands;
+  if (!ParseFlags("verify", args, &operands, FlagGroup{kVerifyFlags, &policy})) {
+    return 2;
   }
-  if (file.empty()) {
+  if (operands.empty()) {
     return Usage();
   }
   std::string source;
-  if (!ReadSource(file, &source)) {
+  if (!ReadSource(operands.back(), &source)) {
     return 2;
   }
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(source);
@@ -625,27 +605,16 @@ int CmdVerify(const std::vector<std::string>& args) {
 }
 
 int CmdMine(const std::vector<std::string>& args) {
-  bool use_cache = true;
-  std::filesystem::path cache_dir;
-  std::string command;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--no-cache") {
-      use_cache = false;
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash mine: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      command = a;
-    }
+  BatchOptions batch;
+  std::vector<std::string> operands;
+  if (!ParseFlags("mine", args, &operands,
+                  FlagGroup<BatchOptions>{std::span(kJobsAndCacheFlags).subspan(1), &batch})) {
+    return 2;
   }
+  const std::string command = operands.empty() ? std::string() : operands.back();
   std::optional<sash::batch::Cache> cache;
-  if (use_cache) {
-    cache.emplace(cache_dir);
+  if (batch.use_cache) {
+    cache.emplace(batch.cache_dir);
   }
   sash::batch::Cache* cache_ptr = cache.has_value() ? &*cache : nullptr;
   if (!command.empty()) {
@@ -671,60 +640,30 @@ int CmdMine(const std::vector<std::string>& args) {
 // journal (sash-events-v1 JSONL), and two views of it, a Chrome trace with
 // per-worker lanes and counter tracks, and a collapsed-stack file for
 // flamegraph tools. The contention/utilization summary prints to stdout.
-int CmdProfile(const std::vector<std::string>& args) {
-  sash::batch::BatchOptions batch;
+struct ProfileArgs {
   std::string journal_out = "sash-journal.jsonl";
   std::string trace_out = "sash-trace.json";
   std::string folded_out = "sash-profile.folded";
+};
+
+constexpr Flag<ProfileArgs> kProfileFlags[] = {
+    {"--journal", &ProfileArgs::journal_out},
+    {"--trace-out", &ProfileArgs::trace_out},
+    {"--folded", &ProfileArgs::folded_out},
+};
+
+int CmdProfile(const std::vector<std::string>& args) {
+  BatchOptions batch;
+  ProfileArgs cli;
   std::vector<std::string> inputs;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = a.substr(std::strlen("--journal="));
-    } else if (a == "--trace-out" && i + 1 < args.size()) {
-      trace_out = args[++i];
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(std::strlen("--trace-out="));
-    } else if (a == "--folded" && i + 1 < args.size()) {
-      folded_out = args[++i];
-    } else if (a.rfind("--folded=", 0) == 0) {
-      folded_out = a.substr(std::strlen("--folded="));
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash profile: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!NumericFlagInt("profile", "--jobs", args[++i], 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!NumericFlagInt("profile", "-j", a.substr(2), 0, kMaxJobs, &batch.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!NumericFlagInt("profile", "--jobs", a.substr(std::strlen("--jobs=")), 0, kMaxJobs,
-                          &batch.jobs)) {
-        return 2;
-      }
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      batch.cache_dir = a.substr(std::strlen("--cache-dir="));
-    } else if (a == "--no-cache") {
-      batch.use_cache = false;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash profile: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      inputs.push_back(a);
-    }
+  if (!ParseFlags("profile", args, &inputs, FlagGroup{kJobsAndCacheFlags, &batch},
+                  FlagGroup{kProfileFlags, &cli})) {
+    return 2;
   }
   if (inputs.empty()) {
     return Usage();
   }
-  if (journal_out.empty() || trace_out.empty() || folded_out.empty()) {
+  if (cli.journal_out.empty() || cli.trace_out.empty() || cli.folded_out.empty()) {
     std::fprintf(stderr, "sash profile: --journal, --trace-out and --folded need a path\n");
     return 2;
   }
@@ -734,8 +673,8 @@ int CmdProfile(const std::vector<std::string>& args) {
     return 2;
   }
 
-  sash::obs::Session session({.trace_out = trace_out,
-                              .journal_out = journal_out,
+  sash::obs::Session session({.trace_out = cli.trace_out,
+                              .journal_out = cli.journal_out,
                               .metrics = true,
                               .arm_lock_probes = true});
   batch.obs = session.hooks();
@@ -743,53 +682,46 @@ int CmdProfile(const std::vector<std::string>& args) {
   sash::batch::BatchDriver driver(batch);
   sash::batch::BatchResult result = driver.Run(files);
 
-  const bool io_ok = session.Finish("sash profile", folded_out);
+  const bool io_ok = session.Finish("sash profile", cli.folded_out);
 
   sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(session.journal()->Drain());
   std::printf("profiled %zu file(s), jobs=%d\n", result.files.size(),
               batch.jobs > 0 ? batch.jobs : 0);
   std::printf("%s", sash::obs::FormatReport(summary).c_str());
-  std::printf("artifacts: %s, %s, %s\n", journal_out.c_str(), trace_out.c_str(),
-              folded_out.c_str());
-  if (!io_ok) {
-    return 2;
-  }
-  return result.ExitCode();
+  std::printf("artifacts: %s, %s, %s\n", cli.journal_out.c_str(), cli.trace_out.c_str(),
+              cli.folded_out.c_str());
+  return io_ok ? result.ExitCode() : 2;
 }
 
 // `sash report`: aggregate profiling/bench artifacts into a human summary.
 // A --journal file yields the contention/worker/phase report; sash-batch-v1
 // and sash-bench-v1 JSON documents are summarized after it.
+struct ReportArgs {
+  std::string journal;
+};
+
+constexpr Flag<ReportArgs> kReportFlags[] = {{"--journal", &ReportArgs::journal}};
+
 int CmdReport(const std::vector<std::string>& args) {
-  std::string journal_path;
+  ReportArgs cli;
   std::vector<std::string> json_paths;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--journal" && i + 1 < args.size()) {
-      journal_path = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_path = a.substr(std::strlen("--journal="));
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "sash report: unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      json_paths.push_back(a);
-    }
+  if (!ParseFlags("report", args, &json_paths, FlagGroup{kReportFlags, &cli})) {
+    return 2;
   }
-  if (journal_path.empty() && json_paths.empty()) {
+  if (cli.journal.empty() && json_paths.empty()) {
     return Usage();
   }
 
-  if (!journal_path.empty()) {
+  if (!cli.journal.empty()) {
     std::string text;
-    if (!ReadSource(journal_path, &text)) {
+    if (!ReadSource(cli.journal, &text)) {
       return 2;
     }
     std::vector<std::string> problems;
     std::optional<sash::obs::JournalSummary> summary =
         sash::obs::SummarizeJsonl(text, &problems);
     if (!summary.has_value()) {
-      std::fprintf(stderr, "sash report: %s is not a valid %s document:\n", journal_path.c_str(),
+      std::fprintf(stderr, "sash report: %s is not a valid %s document:\n", cli.journal.c_str(),
                    sash::obs::kEventsSchema);
       for (const std::string& p : problems) {
         std::fprintf(stderr, "  %s\n", p.c_str());
@@ -833,16 +765,21 @@ int CmdReport(const std::vector<std::string>& args) {
                         ? static_cast<long long>(misses->number)
                         : 0);
       }
-    } else if (kind == "sash-bench-v1") {
-      const sash::obs::JsonValue* name = doc->Find("name");
-      if (name != nullptr && name->is_string()) {
-        std::printf("  bench: %s\n", name->string.c_str());
+    } else if (kind == sash::obs::kBenchSchema) {
+      if (const sash::obs::JsonValue* bench = doc->Find("bench");
+          bench != nullptr && bench->is_string()) {
+        std::printf("  bench: %s\n", bench->string.c_str());
       }
-      if (const sash::obs::JsonValue* metrics = doc->Find("metrics");
-          metrics != nullptr && metrics->is_object()) {
-        for (const auto& [key, value] : metrics->object) {
-          if (value.is_number()) {
-            std::printf("  %-36s %.3f\n", key.c_str(), value.number);
+      if (const sash::obs::JsonValue* metrics = doc->Find("metrics"); metrics != nullptr) {
+        for (const char* section : {"counters", "gauges"}) {
+          const sash::obs::JsonValue* values = metrics->Find(section);
+          if (values == nullptr) {
+            continue;
+          }
+          for (const auto& [key, value] : values->object) {
+            if (value.is_number()) {
+              std::printf("  %-36s %lld\n", key.c_str(), static_cast<long long>(value.number));
+            }
           }
         }
       }
@@ -853,200 +790,77 @@ int CmdReport(const std::vector<std::string>& args) {
   return 0;
 }
 
-// `sash serve`: the resident analysis daemon (this PR's tentpole). Binds a
-// unix socket, keeps every warm structure resident, and answers sash-rpc-v1
-// requests until a graceful drain (SIGTERM/SIGINT or an rpc `shutdown`)
-// completes — then exits 0. Startup failures (live sibling on the socket,
-// unwritable pidfile) exit 2.
-int CmdServe(const std::vector<std::string>& args) {
-  sash::serve::ServerOptions options;
-  sash::serve::SupervisorOptions sup_options;
-  std::string annotations_file;
+// `sash serve`: the resident analysis daemon. Binds a unix socket, keeps
+// every warm structure resident, and answers sash-rpc-v1 requests until a
+// graceful drain (SIGTERM/SIGINT or an rpc `shutdown`) completes — then
+// exits 0. Startup failures (live sibling on the socket, unwritable
+// pidfile) exit 2.
+//
+// serve's own flags; the server and supervisor flags land in their options.
+struct ServeArgs {
+  std::string annotations;
   std::string journal_out;
   bool stats = false;
   bool supervise = false;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value_of = [&](const char* prefix) { return a.substr(std::strlen(prefix)); };
-    auto int64_flag = [&](const char* flag, const std::string& text, int64_t max, int64_t* out) {
-      return NumericFlag("serve", flag, text, 0, max, out);
-    };
-    auto int_flag = [&](const char* flag, const std::string& text, int64_t max, int* out) {
-      return NumericFlagInt("serve", flag, text, 0, max, out);
-    };
-    if (a == "--socket" && i + 1 < args.size()) {
-      options.socket_path = args[++i];
-    } else if (a.rfind("--socket=", 0) == 0) {
-      options.socket_path = value_of("--socket=");
-    } else if (a == "--pidfile" && i + 1 < args.size()) {
-      options.pidfile = args[++i];
-    } else if (a.rfind("--pidfile=", 0) == 0) {
-      options.pidfile = value_of("--pidfile=");
-    } else if (a == "-j" || a == "--jobs") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "sash serve: %s requires a count\n", a.c_str());
-        return 2;
-      }
-      if (!int_flag("--jobs", args[++i], kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("-j", 0) == 0 && a.size() > 2) {
-      if (!int_flag("-j", a.substr(2), kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!int_flag("--jobs", value_of("--jobs="), kMaxJobs, &options.jobs)) {
-        return 2;
-      }
-    } else if (a == "--max-pending" && i + 1 < args.size()) {
-      if (!int_flag("--max-pending", args[++i], 1 << 20, &options.max_pending)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-pending=", 0) == 0) {
-      if (!int_flag("--max-pending", value_of("--max-pending="), 1 << 20,
-                    &options.max_pending)) {
-        return 2;
-      }
-    } else if (a == "--max-connections" && i + 1 < args.size()) {
-      if (!int_flag("--max-connections", args[++i], 1 << 20, &options.max_connections)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-connections=", 0) == 0) {
-      if (!int_flag("--max-connections", value_of("--max-connections="), 1 << 20,
-                    &options.max_connections)) {
-        return 2;
-      }
-    } else if (a == "--deadline-cap-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--deadline-cap-ms", args[++i], kMaxMs, &options.deadline_cap_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--deadline-cap-ms=", 0) == 0) {
-      if (!int64_flag("--deadline-cap-ms", value_of("--deadline-cap-ms="), kMaxMs,
-                      &options.deadline_cap_ms)) {
-        return 2;
-      }
-    } else if (a == "--default-budget-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--default-budget-ms", args[++i], kMaxMs, &options.default_budget_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--default-budget-ms=", 0) == 0) {
-      if (!int64_flag("--default-budget-ms", value_of("--default-budget-ms="), kMaxMs,
-                      &options.default_budget_ms)) {
-        return 2;
-      }
-    } else if (a == "--idle-timeout-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--idle-timeout-ms", args[++i], kMaxMs, &options.idle_timeout_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--idle-timeout-ms=", 0) == 0) {
-      if (!int64_flag("--idle-timeout-ms", value_of("--idle-timeout-ms="), kMaxMs,
-                      &options.idle_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--io-timeout-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--io-timeout-ms", args[++i], kMaxMs, &options.io_timeout_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--io-timeout-ms=", 0) == 0) {
-      if (!int64_flag("--io-timeout-ms", value_of("--io-timeout-ms="), kMaxMs,
-                      &options.io_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--drain-deadline-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--drain-deadline-ms", args[++i], kMaxMs, &options.drain_deadline_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--drain-deadline-ms=", 0) == 0) {
-      if (!int64_flag("--drain-deadline-ms", value_of("--drain-deadline-ms="), kMaxMs,
-                      &options.drain_deadline_ms)) {
-        return 2;
-      }
-    } else if (a == "--max-frame-bytes" && i + 1 < args.size()) {
-      int64_t v = 0;
-      if (!int64_flag("--max-frame-bytes", args[++i], 1LL << 31, &v)) {
-        return 2;
-      }
-      options.max_frame_bytes = static_cast<uint32_t>(v);
-    } else if (a.rfind("--max-frame-bytes=", 0) == 0) {
-      int64_t v = 0;
-      if (!int64_flag("--max-frame-bytes", value_of("--max-frame-bytes="), 1LL << 31, &v)) {
-        return 2;
-      }
-      options.max_frame_bytes = static_cast<uint32_t>(v);
-    } else if (a == "--cache-dir" && i + 1 < args.size()) {
-      options.batch.cache_dir = args[++i];
-    } else if (a.rfind("--cache-dir=", 0) == 0) {
-      options.batch.cache_dir = value_of("--cache-dir=");
-    } else if (a == "--no-cache") {
-      options.batch.use_cache = false;
-    } else if (a == "--annotations" && i + 1 < args.size()) {
-      annotations_file = args[++i];
-    } else if (a == "--no-warmup") {
-      options.warmup = false;
-    } else if (a == "--isolate") {
-      options.batch.isolate = true;
-    } else if (a == "--max-rss-mb" && i + 1 < args.size()) {
-      if (!int64_flag("--max-rss-mb", args[++i], kMaxBytes >> 20, &options.batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-rss-mb=", 0) == 0) {
-      if (!int64_flag("--max-rss-mb", value_of("--max-rss-mb="), kMaxBytes >> 20,
-                      &options.batch.max_rss_mb)) {
-        return 2;
-      }
-    } else if (a == "--worker-cpu-s" && i + 1 < args.size()) {
-      if (!int64_flag("--worker-cpu-s", args[++i], kMaxMs / 1000, &options.batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a.rfind("--worker-cpu-s=", 0) == 0) {
-      if (!int64_flag("--worker-cpu-s", value_of("--worker-cpu-s="), kMaxMs / 1000,
-                      &options.batch.worker_cpu_s)) {
-        return 2;
-      }
-    } else if (a == "--supervise") {
-      supervise = true;
-    } else if (a == "--max-restarts" && i + 1 < args.size()) {
-      if (!int_flag("--max-restarts", args[++i], 1 << 20, &sup_options.max_restarts)) {
-        return 2;
-      }
-    } else if (a.rfind("--max-restarts=", 0) == 0) {
-      if (!int_flag("--max-restarts", value_of("--max-restarts="), 1 << 20,
-                    &sup_options.max_restarts)) {
-        return 2;
-      }
-    } else if (a == "--heartbeat-ms" && i + 1 < args.size()) {
-      if (!int64_flag("--heartbeat-ms", args[++i], kMaxMs, &sup_options.heartbeat_interval_ms)) {
-        return 2;
-      }
-    } else if (a.rfind("--heartbeat-ms=", 0) == 0) {
-      if (!int64_flag("--heartbeat-ms", value_of("--heartbeat-ms="), kMaxMs,
-                      &sup_options.heartbeat_interval_ms)) {
-        return 2;
-      }
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--journal" && i + 1 < args.size()) {
-      journal_out = args[++i];
-    } else if (a.rfind("--journal=", 0) == 0) {
-      journal_out = value_of("--journal=");
-    } else {
-      std::fprintf(stderr, "sash serve: unknown option %s\n", a.c_str());
-      return 2;
-    }
+};
+
+constexpr Flag<ServeArgs> kServeFlags[] = {
+    {"--annotations", &ServeArgs::annotations},
+    {"--journal", &ServeArgs::journal_out},
+    {"--stats", &ServeArgs::stats},
+    {"--supervise", &ServeArgs::supervise},
+};
+
+using sash::serve::ServerOptions;
+using sash::serve::SupervisorOptions;
+
+constexpr Flag<ServerOptions> kServerFlags[] = {
+    {"--socket", &ServerOptions::socket_path},
+    {"--pidfile", &ServerOptions::pidfile},
+    {"--max-pending", &ServerOptions::max_pending, 0, 1 << 20},
+    {"--max-connections", &ServerOptions::max_connections, 0, 1 << 20},
+    {"--deadline-cap-ms", &ServerOptions::deadline_cap_ms, 0, kMaxMs},
+    {"--default-budget-ms", &ServerOptions::default_budget_ms, 0, kMaxMs},
+    {"--idle-timeout-ms", &ServerOptions::idle_timeout_ms, 0, kMaxMs},
+    {"--io-timeout-ms", &ServerOptions::io_timeout_ms, 0, kMaxMs},
+    {"--drain-deadline-ms", &ServerOptions::drain_deadline_ms, 0, kMaxMs},
+    {"--max-frame-bytes", &ServerOptions::max_frame_bytes, 0, 1LL << 31},
+    {.name = "--no-warmup", .field = &ServerOptions::warmup, .on = false},
+};
+
+constexpr Flag<SupervisorOptions> kSupervisorFlags[] = {
+    {"--max-restarts", &SupervisorOptions::max_restarts, 0, 1 << 20},
+    {"--heartbeat-ms", &SupervisorOptions::heartbeat_interval_ms, 0, kMaxMs},
+};
+
+int CmdServe(const std::vector<std::string>& args) {
+  ServerOptions options;
+  SupervisorOptions sup_options;
+  ServeArgs cli;
+  std::vector<std::string> operands;
+  // The shared -j sets BatchOptions::jobs; the server sizes its pool from
+  // ServerOptions::jobs (default 0: one thread per core).
+  options.batch.jobs = options.jobs;
+  if (!ParseFlags("serve", args, &operands, FlagGroup{kJobsAndCacheFlags, &options.batch},
+                  FlagGroup{kIsolateFlags, &options.batch}, FlagGroup{kServerFlags, &options},
+                  FlagGroup{kSupervisorFlags, &sup_options}, FlagGroup{kServeFlags, &cli})) {
+    return 2;
+  }
+  options.jobs = options.batch.jobs;
+  if (!operands.empty()) {
+    std::fprintf(stderr, "sash serve: unknown option %s\n", operands.front().c_str());
+    return 2;
   }
   if (options.socket_path.empty()) {
     std::fprintf(stderr, "sash serve: --socket PATH is required\n");
     return Usage();
   }
-  if (!annotations_file.empty() &&
-      !ReadSource(annotations_file, &options.batch.annotations_text)) {
+  if (!cli.annotations.empty() && !ReadSource(cli.annotations, &options.batch.annotations_text)) {
     return 2;
   }
-  if (options.batch.max_rss_mb > 0 || options.batch.worker_cpu_s > 0) {
-    options.batch.isolate = true;  // Caps only apply inside a worker.
-  }
+  ImplyIsolate(&options.batch);
 
-  if (supervise) {
+  if (cli.supervise) {
     // Self-healing mode: the daemon runs in a child; this process only
     // watches, restarts, and forwards signals. The pidfile (written by the
     // child) names the daemon, not the supervisor. Exit 0 after the daemon's
@@ -1054,7 +868,7 @@ int CmdServe(const std::vector<std::string>& args) {
     // exhausted. --journal is honored per incarnation: each child keeps its
     // own journal and flushes it on graceful drain (a SIGKILLed incarnation
     // cannot flush; the last healthy one wins).
-    sup_options.journal_path = journal_out;
+    sup_options.journal_path = cli.journal_out;
     sash::serve::Supervisor supervisor(std::move(options), sup_options);
     sash::serve::Supervisor::InstallSignalForward(&supervisor);
     std::fprintf(stderr, "sash serve: supervising (pid %d)\n", static_cast<int>(getpid()));
@@ -1070,7 +884,7 @@ int CmdServe(const std::vector<std::string>& args) {
   }
 
   // The registry always exists: the rpc `stats` op renders it.
-  sash::obs::Session session({.journal_out = journal_out, .metrics = true});
+  sash::obs::Session session({.journal_out = cli.journal_out, .metrics = true});
   options.batch.obs = session.hooks();
 
   sash::serve::Server server(std::move(options));
@@ -1094,7 +908,7 @@ int CmdServe(const std::vector<std::string>& args) {
                static_cast<long long>(final_stats.shed),
                static_cast<long long>(final_stats.timeouts),
                static_cast<long long>(final_stats.drain_cancelled));
-  if (stats) {
+  if (cli.stats) {
     PrintStats(*session.metrics());
   }
   return session.Finish("sash serve") ? 0 : 2;
@@ -1124,44 +938,30 @@ int CmdTypeof(const std::vector<std::string>& args) {
   return report.has_dead_stream || report.has_type_error ? 1 : 0;
 }
 
+int CmdVersion(const std::vector<std::string>& /*args*/) {
+  std::printf("sash %s\n", sash::core::kVersion);
+  return 0;
+}
+
+constexpr struct {
+  std::string_view name;
+  int (*run)(const std::vector<std::string>& args);
+} kVerbs[] = {
+    {"analyze", CmdAnalyze}, {"lint", CmdLint},       {"run", CmdRun},
+    {"verify", CmdVerify},   {"mine", CmdMine},       {"profile", CmdProfile},
+    {"report", CmdReport},   {"serve", CmdServe},     {"typeof", CmdTypeof},
+    {"version", CmdVersion}, {"--version", CmdVersion},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    return Usage();
-  }
-  std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "analyze") {
-    return CmdAnalyze(args);
-  }
-  if (cmd == "lint") {
-    return CmdLint(args);
-  }
-  if (cmd == "run") {
-    return CmdRun(args);
-  }
-  if (cmd == "verify") {
-    return CmdVerify(args);
-  }
-  if (cmd == "mine") {
-    return CmdMine(args);
-  }
-  if (cmd == "profile") {
-    return CmdProfile(args);
-  }
-  if (cmd == "report") {
-    return CmdReport(args);
-  }
-  if (cmd == "serve") {
-    return CmdServe(args);
-  }
-  if (cmd == "typeof") {
-    return CmdTypeof(args);
-  }
-  if (cmd == "version" || cmd == "--version") {
-    std::printf("sash %s\n", sash::core::kVersion);
-    return 0;
+  if (argc >= 2) {
+    for (const auto& verb : kVerbs) {
+      if (verb.name == argv[1]) {
+        return verb.run(std::vector<std::string>(argv + 2, argv + argc));
+      }
+    }
   }
   return Usage();
 }
