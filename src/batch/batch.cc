@@ -4,33 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "batch/commit_queue.h"
 #include "batch/isolate.h"
 #include "obs/procstat.h"
 #include "util/faultinject.h"
+#include "util/file.h"
 #include "util/subproc.h"
 #include "util/thread_pool.h"
 
 namespace sash::batch {
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-}  // namespace
 
 std::string_view FileStatusName(FileStatus status) {
   switch (status) {
@@ -249,12 +232,11 @@ BatchResult BatchDriver::Run(const std::vector<std::string>& files) {
   sources.reserve(files.size());
   for (size_t i = 0; i < files.size(); ++i) {
     std::string content;
-    std::string error;
-    if (ReadFile(files[i], &content, &error)) {
+    if (util::ReadFile(files[i], &content)) {
       sources.emplace_back(files[i], std::move(content));
     } else {
       sources.emplace_back(files[i], std::string());
-      read_errors[i] = std::move(error);
+      read_errors[i] = "cannot open " + files[i];
     }
   }
   BatchResult result = RunSourcesImpl(sources, &read_errors);

@@ -9,8 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "core/version.h"
@@ -18,7 +16,9 @@
 #include "obs/trace.h"
 #include "mining/man_corpus.h"
 #include "util/faultinject.h"
+#include "util/file.h"
 #include "util/sha256.h"
+#include "util/strings.h"
 
 namespace sash::batch {
 
@@ -26,21 +26,62 @@ namespace {
 
 // Key-material framing: length-prefix every component so concatenations
 // cannot collide ("ab"+"c" vs "a"+"bc").
-void Feed(util::Sha256* h, std::string_view part) {
-  std::string len = std::to_string(part.size()) + ":";
-  h->Update(len);
+constexpr void Feed(util::Sha256* h, std::string_view part) {
+  char digits[20] = {};
+  size_t n = sizeof(digits);
+  size_t len = part.size();
+  do {
+    digits[--n] = static_cast<char>('0' + len % 10);
+    len /= 10;
+  } while (len != 0);
+  h->Update(std::string_view(digits + n, sizeof(digits) - n));
+  h->Update(":");
   h->Update(part);
 }
 
+// Appends each argument as the ostream chain this replaced printed it:
+// strings verbatim, integers in decimal, bools as 0/1 — so keys keep their
+// bytes (batch_cache_test pins them).
+void AppendOne(std::string* s, std::string_view text) { *s += text; }
+void AppendOne(std::string* s, int64_t value) { *s += std::to_string(value); }
+template <typename... Parts>
+void Append(std::string* s, const Parts&... parts) {
+  (AppendOne(s, parts), ...);
+}
+
+// Fingerprint of the spec corpus analysis depends on: the bundled man-page
+// corpus (mining inputs) — the built-in ground-truth specs are compiled in
+// and covered by the sash version component of every key. The corpus is
+// compile-time data, so the compiler computes this and a key costs one hash
+// of the script.
+constexpr std::array<char, 64> kSpecCorpusFingerprint = [] {
+  util::Sha256 h;
+  for (const mining::ManPage& page : mining::kManPages) {
+    Feed(&h, page.name);
+    Feed(&h, page.text);
+  }
+  return h.HexChars();
+}();
+
 // Checksum of an entry's logical content. Framed like key material so field
 // boundaries cannot alias; any byte that matters to a warm replay is covered.
-std::string EntryChecksum(const AnalysisEntry& entry) {
+std::array<char, 64> EntryChecksum(const AnalysisEntry& entry) {
   util::Sha256 h;
   Feed(&h, entry.report_text);
   Feed(&h, entry.report_json);
   Feed(&h, std::to_string(entry.warnings_or_worse));
   Feed(&h, entry.degraded_reason);
-  return h.HexDigest();
+  return h.HexChars();
+}
+
+// Parses a non-negative decimal field of an entry header.
+bool ParseSize(std::string_view field, size_t* out) {
+  int64_t value = 0;
+  if (!ParseInt64(field, &value) || value < 0) {
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
 }  // namespace
@@ -63,42 +104,27 @@ bool EnsureDirectories(const std::filesystem::path& dir) {
 }
 
 std::string OptionsFingerprint(const core::AnalyzerOptions& options) {
-  std::ostringstream s;
-  s << "lint=" << options.enable_lint << ";symex=" << options.enable_symex
-    << ";stream=" << options.enable_stream_types << ";annot=" << options.apply_annotations
-    << ";idem=" << options.enable_idempotence_check
-    << ";idem_cap=" << options.idempotence_state_cap
-    << ";coach=" << options.enable_optimization_coach
-    // max_input_bytes deterministically shapes the report (too-large inputs
-    // degrade to an empty one); the cancel token does not participate — its
-    // effects are wall-clock-dependent and such reports are never cached.
-    << ";max_in=" << options.max_input_bytes;
+  std::string s;
+  s.reserve(256);
   const symex::EngineOptions& e = options.engine;
-  s << ";e.max_states=" << e.max_states << ";e.unroll=" << e.loop_unroll
-    << ";e.depth=" << e.max_call_depth << ";e.for=" << e.max_for_iterations
-    << ";e.path=" << e.script_path_pattern << ";e.pos=" << e.positional_params
-    << ";e.unset=" << e.report_unset_vars << ";e.merge=" << e.merge_identical_states
-    << ";e.lib=" << (e.library == nullptr ? "builtin" : "custom");
-  for (const auto& [var, pattern] : e.var_patterns) {
-    s << ";e.var:" << var << "=" << pattern;
-  }
   const lint::LintOptions& l = options.lint;
-  s << ";l=" << l.unquoted_var << l.rm_var_path << l.cd_no_guard << l.backtick << l.useless_cat
-    << l.echo_sub << l.read_no_r << l.portability;
-  return s.str();
-}
-
-std::string SpecCorpusFingerprint() {
-  // The corpus is a compile-time constant, so hash it once per process.
-  static const std::string fingerprint = [] {
-    util::Sha256 h;
-    for (const auto& [name, text] : mining::ManCorpus()) {
-      Feed(&h, name);
-      Feed(&h, text);
-    }
-    return h.HexDigest();
-  }();
-  return fingerprint;
+  // max_input_bytes deterministically shapes the report (too-large inputs
+  // degrade to an empty one); the cancel token does not participate — its
+  // effects are wall-clock-dependent and such reports are never cached.
+  Append(&s, "lint=", options.enable_lint, ";symex=", options.enable_symex,
+         ";stream=", options.enable_stream_types, ";annot=", options.apply_annotations,
+         ";idem=", options.enable_idempotence_check, ";idem_cap=", options.idempotence_state_cap,
+         ";coach=", options.enable_optimization_coach, ";max_in=", options.max_input_bytes);
+  Append(&s, ";e.max_states=", e.max_states, ";e.unroll=", e.loop_unroll, ";e.depth=",
+         e.max_call_depth, ";e.for=", e.max_for_iterations, ";e.path=", e.script_path_pattern,
+         ";e.pos=", e.positional_params, ";e.unset=", e.report_unset_vars, ";e.merge=",
+         e.merge_identical_states, ";e.lib=", e.library == nullptr ? "builtin" : "custom");
+  for (const auto& [var, pattern] : e.var_patterns) {
+    Append(&s, ";e.var:", var, "=", pattern);
+  }
+  Append(&s, ";l=", l.unquoted_var, l.rm_var_path, l.cd_no_guard, l.backtick, l.useless_cat,
+         l.echo_sub, l.read_no_r, l.portability);
+  return s;
 }
 
 std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOptions& options,
@@ -108,7 +134,7 @@ std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOpt
   Feed(&h, core::kVersion);
   Feed(&h, OptionsFingerprint(options));
   Feed(&h, annotations_text);
-  Feed(&h, SpecCorpusFingerprint());
+  Feed(&h, std::string_view(kSpecCorpusFingerprint.data(), kSpecCorpusFingerprint.size()));
   Feed(&h, script_content);
   return h.HexDigest();
 }
@@ -122,54 +148,71 @@ std::string MineKey(std::string_view command, std::string_view man_text) {
   return h.HexDigest();
 }
 
-std::string EncodeAnalysisEntry(std::string_view key, const AnalysisEntry& entry) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.KV("schema", kCacheSchema);
-  w.KV("kind", "analysis");
-  w.KV("key", key);
-  w.KV("sash", core::kVersion);
-  w.KV("warnings_or_worse", entry.warnings_or_worse);
-  w.KV("degraded_reason", entry.degraded_reason);
-  w.KV("checksum", EntryChecksum(entry));
-  w.KV("report_text", entry.report_text);
-  w.Key("report").Raw(entry.report_json);
-  w.EndObject();
-  return w.Take();
+std::string EncodeAnalysisEntry(std::string_view /*key*/, const AnalysisEntry& entry) {
+  // The key is the entry's file name; the header does not repeat it.
+  const std::array<char, 64> checksum = EntryChecksum(entry);
+  std::string out;
+  out.reserve(128 + entry.report_json.size() + entry.report_text.size());
+  out += kAnalysisCacheSchema;
+  out += ' ';
+  out.append(checksum.data(), checksum.size());
+  out += ' ';
+  out += std::to_string(entry.warnings_or_worse);
+  out += ' ';
+  out += std::to_string(entry.report_json.size());
+  out += ' ';
+  out += std::to_string(entry.report_text.size());
+  if (!entry.degraded_reason.empty()) {
+    out += ' ';
+    out += entry.degraded_reason;
+  }
+  out += '\n';
+  out += entry.report_json;
+  out += entry.report_text;
+  return out;
 }
 
 std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload) {
-  std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-  if (!doc.has_value() || !doc->is_object()) {
+  const size_t newline = payload.find('\n');
+  if (newline == std::string_view::npos) {
     return std::nullopt;
   }
-  const obs::JsonValue* schema = doc->Find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->string != kCacheSchema) {
-    return std::nullopt;
+  // Header fields: schema, checksum, warnings_or_worse, json bytes and text
+  // bytes, each ended by a space or the newline; whatever follows the fifth
+  // space is the degraded reason.
+  std::string_view rest = payload.substr(0, newline);
+  std::string_view fields[5];
+  bool more = true;
+  for (std::string_view& field : fields) {
+    if (!more) {
+      return std::nullopt;
+    }
+    const size_t space = rest.find(' ');
+    field = rest.substr(0, space);
+    more = space != std::string_view::npos;
+    rest = more ? rest.substr(space + 1) : std::string_view();
   }
-  const obs::JsonValue* warnings = doc->Find("warnings_or_worse");
-  const obs::JsonValue* text = doc->Find("report_text");
-  const obs::JsonValue* report = doc->Find("report");
-  const obs::JsonValue* degraded = doc->Find("degraded_reason");
-  const obs::JsonValue* checksum = doc->Find("checksum");
-  if (warnings == nullptr || !warnings->is_number() || text == nullptr || !text->is_string() ||
-      report == nullptr || !report->is_object() || degraded == nullptr ||
-      !degraded->is_string() || checksum == nullptr || !checksum->is_string()) {
-    return std::nullopt;
-  }
+  size_t json_bytes = 0;
+  size_t text_bytes = 0;
   AnalysisEntry entry;
-  entry.warnings_or_worse = static_cast<int64_t>(warnings->number);
-  entry.report_text = text->string;
-  entry.degraded_reason = degraded->string;
-  // Re-serialize the report value: WriteJsonValue round-trips the writer's
-  // own output exactly (member order preserved, integral numbers intact), so
-  // the bytes match what the cold run produced.
-  obs::JsonWriter w;
-  obs::WriteJsonValue(*report, &w);
-  entry.report_json = w.Take();
+  if (fields[0] != kAnalysisCacheSchema || fields[1].size() != 64 ||
+      !ParseInt64(fields[2], &entry.warnings_or_worse) || !ParseSize(fields[3], &json_bytes) ||
+      !ParseSize(fields[4], &text_bytes) || (more && rest.empty())) {
+    return std::nullopt;
+  }
+  // The lengths must account for every byte after the header: a truncated
+  // or padded entry is a miss before any hashing.
+  const std::string_view body = payload.substr(newline + 1);
+  if (json_bytes > body.size() || text_bytes != body.size() - json_bytes) {
+    return std::nullopt;
+  }
+  entry.report_json = body.substr(0, json_bytes);
+  entry.report_text = body.substr(json_bytes);
+  entry.degraded_reason = rest;
   // A flipped byte anywhere in the logical content fails here; the caller
   // treats nullopt as a miss and recomputes.
-  if (checksum->string != EntryChecksum(entry)) {
+  const std::array<char, 64> checksum = EntryChecksum(entry);
+  if (fields[1] != std::string_view(checksum.data(), checksum.size())) {
     return std::nullopt;
   }
   return entry;
@@ -220,16 +263,13 @@ std::optional<std::string> Cache::Get(std::string_view kind, std::string_view ke
       return std::nullopt;
     }
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string payload;
+  if (!util::ReadFile(path.string(), &payload)) {
     if (misses_ != nullptr) {
       misses_->Add(1);
     }
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string payload = buf.str();
   // Simulated torn/bit-flipped entry: the checksum in the payload makes the
   // decoder reject it, so downstream sees a corrupt-entry miss.
   util::FaultInjector::ApplyPayloadFault(fault, &payload);
@@ -337,10 +377,9 @@ bool Cache::PutOnce(const std::filesystem::path& path, std::string_view payload,
   // rename their own complete file over the target (last writer wins; all
   // payloads for one key are identical by construction).
   static std::atomic<uint64_t> seq{0};
-  std::ostringstream tmp_name;
-  tmp_name << path.filename().string() << ".tmp." << ::getpid() << "."
-           << seq.fetch_add(1, std::memory_order_relaxed);
-  std::filesystem::path tmp = path.parent_path() / tmp_name.str();
+  std::filesystem::path tmp =
+      path.parent_path() / (path.filename().string() + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq.fetch_add(1, std::memory_order_relaxed)));
   // Raw-fd I/O rather than ofstream: the failing syscall's errno is the
   // signal that separates "retry this" (EINTR, EIO blips) from "the disk is
   // full, stop paying backoff for every entry" (ENOSPC/EDQUOT), and iostream

@@ -5,12 +5,14 @@
 // something the result actually depends on changed.
 //
 // Key definition (all SHA-256, hex):
-//   analysis entry: H(kind="analysis" ‖ sash version ‖ options fingerprint ‖
+//   analysis entry: H(kind="analysis" ‖ sash version ‖ options fingerprint ‖ annotations ‖
 //                     spec-corpus fingerprint ‖ script content)
 //   mining entry:   H(kind="mine" ‖ sash version ‖ command name ‖ man text)
 // so touching the script, the spec corpus, the analysis flags, or upgrading
 // sash each invalidate exactly the affected entries. Entries are immutable
-// files named <key>.json under <root>/<kind>/; writes go through a temp file
+// files named <key>.json under <root>/<kind>/ (the name predates the v2
+// analysis envelope, which is not JSON; keeping it lets a v2 write replace a
+// v1 entry of the same key in place); writes go through a temp file
 // and an atomic rename, so concurrent readers never observe a torn entry and
 // concurrent writers of the same key are idempotent.
 #ifndef SASH_BATCH_CACHE_H_
@@ -27,8 +29,10 @@
 
 namespace sash::batch {
 
-// Schema tag of cache entry documents.
-inline constexpr char kCacheSchema[] = "sash-cache-v1";
+// Schema tag of mining cache entries (JSON documents).
+inline constexpr char kMineCacheSchema[] = "sash-cache-v1";
+// Schema tag of analysis cache entries: the first word of their header line.
+inline constexpr char kAnalysisCacheSchema[] = "sash-cache-v2";
 
 // Creates `dir` and any missing parents, treating a directory that appeared
 // concurrently (EEXIST from another driver racing to create the same
@@ -43,11 +47,6 @@ bool EnsureDirectories(const std::filesystem::path& dir);
 // report. Extend this when AnalyzerOptions grows — a missed field means stale
 // hits, which the differential test guards against for the known fields.
 std::string OptionsFingerprint(const core::AnalyzerOptions& options);
-
-// Fingerprint of the spec corpus analysis depends on: the bundled man-page
-// corpus (mining inputs) — the built-in ground-truth specs are compiled in
-// and covered by the sash version component of every key.
-std::string SpecCorpusFingerprint();
 
 // Cache key for one script's analysis under the given options.
 // `annotations_text` is the external .sasht input ("" when none).
@@ -70,10 +69,18 @@ struct AnalysisEntry {
   std::string degraded_reason;
 };
 
-// The encoded entry embeds a SHA-256 checksum of its logical content; Decode
-// recomputes and compares it, so a truncated or bit-flipped entry (torn
-// write, disk corruption) decodes to nullopt — a miss, never a crash and
-// never a silently wrong replay.
+// Envelope "sash-cache-v2": one header line, then the two reports verbatim.
+//
+//   sash-cache-v2 <checksum> <warnings_or_worse> <json bytes> <text bytes>[ <degraded_reason>]\n
+//   <report_json><report_text>
+//
+// The checksum is a SHA-256 (hex) of the entry's logical content. Decode
+// parses only the header, requires the two lengths to cover the body
+// exactly, and recomputes the checksum, so a truncated, padded or
+// bit-flipped entry (torn write, disk corruption) — or an entry in any other
+// format, such as a v1 JSON document — decodes to nullopt: a miss, never a
+// crash and never a silently wrong replay. The key is the entry's file name
+// and is not repeated inside it. A degraded reason never contains a newline.
 std::string EncodeAnalysisEntry(std::string_view key, const AnalysisEntry& entry);
 std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload);
 

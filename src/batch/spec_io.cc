@@ -272,7 +272,7 @@ std::optional<specs::CommandSpec> ReadCommandSpec(const obs::JsonValue& v) {
 std::string EncodeMiningOutcome(std::string_view key, const mining::MiningOutcome& outcome) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.KV("schema", kCacheSchema);
+  w.KV("schema", kMineCacheSchema);
   w.KV("kind", "mine");
   w.KV("key", key);
   w.KV("sash", core::kVersion);
@@ -308,7 +308,7 @@ std::optional<mining::MiningOutcome> DecodeMiningOutcome(std::string_view payloa
   }
   const obs::JsonValue* schema = doc->Find("schema");
   const obs::JsonValue* kind = doc->Find("kind");
-  if (schema == nullptr || !schema->is_string() || schema->string != kCacheSchema ||
+  if (schema == nullptr || !schema->is_string() || schema->string != kMineCacheSchema ||
       kind == nullptr || !kind->is_string() || kind->string != "mine") {
     return std::nullopt;
   }

@@ -204,9 +204,9 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     report.phase_timings_.push_back({name, timer.End()});
   };
 
-  // Resolve annotations against a working copy of the type library —
-  // external (.sasht) directives first, inline ones on top.
-  rtypes::TypeLibrary types = options_.types;
+  // Resolve annotations against a working copy of the default type library
+  // — external (.sasht) directives first, inline ones on top.
+  rtypes::TypeLibrary types = rtypes::TypeLibrary::Default();
   DiagnosticSink sink;
   if (metrics != nullptr) {
     sink.CountInto(metrics->counter("diagnostics.warnings_or_worse"), Severity::kWarning);

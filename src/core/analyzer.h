@@ -15,7 +15,6 @@
 #include "annot/annotations.h"
 #include "lint/lint.h"
 #include "obs/obs.h"
-#include "rtypes/types.h"
 #include "stream/pipeline.h"
 #include "symex/engine.h"
 #include "syntax/parser.h"
@@ -68,7 +67,6 @@ struct AnalyzerOptions {
 
   symex::EngineOptions engine;
   lint::LintOptions lint;
-  rtypes::TypeLibrary types = rtypes::TypeLibrary::Default();
 
   // Observability: when attached, every phase is traced as a span and the
   // subsystems publish their counters into the registry. Phase wall times are

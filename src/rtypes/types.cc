@@ -179,7 +179,9 @@ std::optional<regex::Regex> TypeLibrary::Resolve(std::string_view spelling) cons
   return std::nullopt;
 }
 
-TypeLibrary TypeLibrary::Default() {
+namespace {
+
+TypeLibrary BuildDefault() {
   TypeLibrary lib;
   auto def = [&lib](const char* name, const char* pattern) {
     std::optional<regex::Regex> r = regex::Regex::FromPattern(pattern);
@@ -202,6 +204,13 @@ TypeLibrary TypeLibrary::Default() {
   def("longlist", "[-dlbcps][-rwxsStT]{9} +\\d+ +\\w+ +\\w+ +\\d+ .*");
   def("lsbline", "(Distributor ID|Description|Release|Codename):\\t.*");
   return lib;
+}
+
+}  // namespace
+
+const TypeLibrary& TypeLibrary::Default() {
+  static const TypeLibrary kDefault = BuildDefault();
+  return kDefault;
 }
 
 std::string TypeOf(const TypeLibrary& lib, const regex::Regex& lang) {

@@ -90,8 +90,10 @@ class TypeLibrary {
   std::optional<regex::Regex> Resolve(std::string_view spelling) const;
 
   // Built-in descriptive types: any, none, empty, line, word, number, hexline,
-  // path, abspath, url, tsvline, longlist, lsbline.
-  static TypeLibrary Default();
+  // path, abspath, url, tsvline, longlist, lsbline. Built once, on first use
+  // (its regexes cost a warm cache hit nothing until something types a
+  // stream); callers that add definitions copy it.
+  static const TypeLibrary& Default();
 
  private:
   std::vector<std::pair<std::string, regex::Regex>> types_;

@@ -18,6 +18,7 @@
 #include "json_normalize.h"
 #include "mining/man_corpus.h"
 #include "util/faultinject.h"
+#include "util/file.h"
 #include "util/sha256.h"
 
 namespace sash::batch {
@@ -320,6 +321,75 @@ TEST_F(BatchCacheTest, KeyDependsOnCorpusOptionsVersionAndContent) {
   no_symex.enable_symex = false;
   EXPECT_NE(k1, AnalysisKey("echo hi\n", no_symex));  // Options-sensitive.
   EXPECT_NE(k1, AnalysisKey("echo hi\n", base, "command tool :: /x/\n"));  // Annotations.
+}
+
+// Keys are content addresses: changing how they are computed must not change
+// their bytes, or every cache on disk goes cold. The pinned values come from
+// the iostream and run-time corpus hashing this code replaced.
+TEST_F(BatchCacheTest, AnalysisKeyBytesArePinned) {
+  std::string steam;
+  ASSERT_TRUE(util::ReadFile(std::string(SASH_SCRIPTS_DIR) + "/steam_updater.sh", &steam));
+  EXPECT_EQ(AnalysisKey(steam, core::AnalyzerOptions()),
+            "05fe23c9c3a0944b7e2aaae0ed3918ab161eb48d72e42ff67af05da421889eca");
+
+  core::AnalyzerOptions tuned;
+  tuned.enable_lint = true;
+  tuned.idempotence_state_cap = -3;
+  tuned.max_input_bytes = 123456789012;
+  tuned.engine.report_unset_vars = false;
+  tuned.engine.var_patterns = {{"A", "x+"}, {"B", ""}};
+  tuned.lint.backtick = false;
+  tuned.lint.portability = false;
+  EXPECT_EQ(OptionsFingerprint(tuned),
+            "lint=1;symex=1;stream=1;annot=1;idem=0;idem_cap=-3;coach=0;max_in=123456789012;"
+            "e.max_states=128;e.unroll=2;e.depth=16;e.for=8;e.path=/?([^/\\n]*/)*[^/\\n]+;"
+            "e.pos=3;e.unset=0;e.merge=1;e.lib=builtin;e.var:A=x+;e.var:B=;l=11101110");
+  EXPECT_EQ(AnalysisKey(steam, tuned, "command tool :: /x/\n"),
+            "bdf0838f4e55307c4c9963b67deecd75cd9c6cf559e8bcf07582053ef5d88c06");
+}
+
+// A v2 entry decodes only when every byte is as written: any single flipped
+// byte, any truncation, trailing bytes, or lengths that split the body
+// differently all decode to a miss.
+TEST_F(BatchCacheTest, V2EntryDecodesOnlyWhenIntact) {
+  AnalysisEntry entry;
+  entry.report_json = R"({"schema":"sash-analysis-v1","findings":[{"code":"X"}]})";
+  entry.report_text = "warning: X\nline two\n";
+  entry.warnings_or_worse = 2;
+  entry.degraded_reason = "state-cap";
+  const std::string payload = EncodeAnalysisEntry("k", entry);
+  ASSERT_EQ(payload.substr(0, payload.find(' ')), kAnalysisCacheSchema);
+  const size_t newline = payload.find('\n');
+  EXPECT_EQ(payload.substr(newline + 1), entry.report_json + entry.report_text);
+  std::optional<AnalysisEntry> back = DecodeAnalysisEntry(payload);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->report_json, entry.report_json);
+  EXPECT_EQ(back->report_text, entry.report_text);
+  EXPECT_EQ(back->warnings_or_worse, 2);
+  EXPECT_EQ(back->degraded_reason, "state-cap");
+
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = payload;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      EXPECT_FALSE(DecodeAnalysisEntry(flipped).has_value()) << "byte " << i << " ^ " << +mask;
+    }
+  }
+  for (size_t size = 0; size < payload.size(); ++size) {
+    EXPECT_FALSE(DecodeAnalysisEntry(payload.substr(0, size)).has_value()) << size;
+  }
+  EXPECT_FALSE(DecodeAnalysisEntry(payload + "x").has_value());
+
+  // Same body, one byte moved from the JSON length to the text length.
+  const std::string json_len = std::to_string(entry.report_json.size());
+  const std::string text_len = std::to_string(entry.report_text.size());
+  std::string header = payload.substr(0, newline);
+  const size_t at = header.find(" " + json_len + " " + text_len + " ");
+  ASSERT_NE(at, std::string::npos);
+  header.replace(at, json_len.size() + text_len.size() + 3,
+                 " " + std::to_string(entry.report_json.size() - 1) + " " +
+                     std::to_string(entry.report_text.size() + 1) + " ");
+  EXPECT_FALSE(DecodeAnalysisEntry(header + payload.substr(newline)).has_value());
 }
 
 TEST_F(BatchCacheTest, OptionsFingerprintCoversEngineAndLintKnobs) {

@@ -1,7 +1,7 @@
 // Concurrency stress for the batch driver and the shared on-disk cache:
 // several drivers (each with its own -j8-style pool) hammer overlapping file
 // sets against one cache directory at once. Properties:
-//   - every cache file on disk is complete, valid JSON (atomic rename means
+//   - every cache file on disk is a complete v2 entry (atomic rename means
 //     no reader ever sees a torn entry);
 //   - duplicate work is bounded: total misses never exceed drivers × unique
 //     scripts, and once the dust settles a warm pass is 100% hits;
@@ -18,7 +18,6 @@
 #include "batch/batch.h"
 #include "batch/cache.h"
 #include "json_normalize.h"
-#include "obs/json.h"
 #include "util/thread_pool.h"
 
 namespace sash::batch {
@@ -94,8 +93,9 @@ TEST_F(BatchStressTest, ConcurrentDriversSharedCacheNoTornFilesBoundedWork) {
   EXPECT_LE(total_misses, static_cast<int64_t>(kDrivers) * kScripts);
   EXPECT_GE(total_misses, static_cast<int64_t>(kScripts) * 3 / 4);  // Someone did the work.
 
-  // No torn files: every entry on disk parses as a complete JSON document
-  // with the cache schema tag, and no temp files were left behind.
+  // No torn files: every entry on disk opens with the v2 header and decodes
+  // whole (its lengths and checksum cover every byte), and no temp files
+  // were left behind.
   int entries = 0;
   for (const auto& e : fs::recursive_directory_iterator(cache_dir)) {
     if (!e.is_regular_file()) {
@@ -104,12 +104,8 @@ TEST_F(BatchStressTest, ConcurrentDriversSharedCacheNoTornFilesBoundedWork) {
     EXPECT_EQ(e.path().extension(), ".json") << "leftover temp file: " << e.path();
     std::ifstream in(e.path());
     std::string payload((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(payload);
-    ASSERT_TRUE(doc.has_value()) << "torn cache entry: " << e.path();
-    ASSERT_TRUE(doc->is_object());
-    const obs::JsonValue* schema = doc->Find("schema");
-    ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->string, kCacheSchema);
+    EXPECT_EQ(payload.substr(0, payload.find(' ')), kAnalysisCacheSchema) << e.path();
+    EXPECT_TRUE(DecodeAnalysisEntry(payload).has_value()) << "torn cache entry: " << e.path();
     ++entries;
   }
   EXPECT_EQ(entries, kScripts);  // Exactly one entry per unique script.

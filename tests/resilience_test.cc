@@ -252,7 +252,8 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
   ASSERT_TRUE(cold.files[0].ok);
 
   // Locate the single entry and flip the case of one report_text letter:
-  // the JSON stays valid, so only the content checksum can catch it.
+  // the header and lengths stay valid, so only the content checksum can
+  // catch it.
   std::vector<fs::path> entries;
   for (const auto& e : fs::recursive_directory_iterator(cache_dir)) {
     if (e.is_regular_file()) {
@@ -267,10 +268,11 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
     buf << in.rdbuf();
     payload = buf.str();
   }
-  size_t field = payload.find("\"report_text\":\"");
-  ASSERT_NE(field, std::string::npos);
+  // The text report is the tail of a v2 entry, after the JSON report.
+  const size_t text_start = payload.size() - cold.files[0].report_text.size();
+  ASSERT_EQ(payload.substr(text_start), cold.files[0].report_text);
   size_t flip = std::string::npos;
-  for (size_t i = field + 15; i < payload.size(); ++i) {
+  for (size_t i = text_start; i < payload.size(); ++i) {
     if (std::isalpha(static_cast<unsigned char>(payload[i]))) {
       flip = i;
       break;
@@ -326,6 +328,51 @@ TEST_F(ResilienceTest, TruncatedCacheEntryDemotesToMiss) {
   EXPECT_FALSE(warm.files[0].cached);
   EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
   EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+}
+
+// An entry left by an older sash in the v1 JSON envelope, at the path a v2
+// entry for the same key takes: it is a miss, the recompute overwrites it
+// with a v2 entry, and the next run replays that entry byte for byte.
+TEST_F(ResilienceTest, V1EntryIsAMissThenOverwrittenByV2) {
+  Sources sources = GeneratedCorpus(1, /*seed_base=*/779);
+  fs::path cache_dir = dir_ / "cache";
+  BatchOptions options;
+  options.jobs = 1;
+  options.cache_dir = cache_dir;
+  const std::string key = AnalysisKey(sources[0].second, options.analyzer);
+  obs::JsonWriter v1;
+  v1.BeginObject();
+  v1.KV("schema", "sash-cache-v1");
+  v1.KV("kind", "analysis");
+  v1.KV("key", key);
+  v1.KV("sash", "0.5.0");
+  v1.KV("warnings_or_worse", 0);
+  v1.KV("degraded_reason", "");
+  v1.KV("checksum", std::string(64, '0'));
+  v1.KV("report_text", "stale\n");
+  v1.Key("report").Raw(R"({"schema":"sash-analysis-v1"})");
+  v1.EndObject();
+  Cache cache(cache_dir);
+  ASSERT_TRUE(cache.Put("analysis", key, v1.Take()));
+
+  obs::Registry registry;
+  options.obs.metrics = &registry;
+  BatchDriver driver(options);
+  BatchResult recomputed = driver.RunSources(sources);
+  ASSERT_TRUE(recomputed.files[0].ok);
+  EXPECT_FALSE(recomputed.files[0].cached);
+  EXPECT_NE(recomputed.files[0].report_text, "stale\n");
+  EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+
+  std::optional<std::string> entry = cache.Get("analysis", key);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->substr(0, entry->find(' ')), kAnalysisCacheSchema);
+
+  BatchResult warm = driver.RunSources(sources);
+  EXPECT_TRUE(warm.files[0].cached);
+  EXPECT_EQ(warm.files[0].report_json, recomputed.files[0].report_json);
+  EXPECT_EQ(warm.files[0].report_text, recomputed.files[0].report_text);
+  EXPECT_EQ(warm.files[0].warnings_or_worse, recomputed.files[0].warnings_or_worse);
 }
 
 // An injected first-attempt write failure is absorbed by the retry loop: the

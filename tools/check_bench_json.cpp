@@ -30,8 +30,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "util/file.h"
 
 namespace {
 
@@ -130,14 +129,12 @@ bool ValidateText(const std::string& label, const std::string& text) {
 }
 
 bool ValidateFile(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!sash::util::ReadFile(path.string(), &text)) {
     std::fprintf(stderr, "%s: cannot open\n", path.string().c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  bool ok = ValidateText(path.string(), buf.str());
+  bool ok = ValidateText(path.string(), text);
   if (ok) {
     std::printf("%s: ok\n", path.string().c_str());
   }
@@ -146,14 +143,12 @@ bool ValidateFile(const std::filesystem::path& path) {
 
 // Validates one sash-events-v1 JSONL journal file.
 bool ValidateJournalFile(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!sash::util::ReadFile(path.string(), &text)) {
     std::fprintf(stderr, "%s: cannot open\n", path.string().c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::vector<std::string> problems = sash::obs::EventJournal::ValidateJsonl(buf.str());
+  std::vector<std::string> problems = sash::obs::EventJournal::ValidateJsonl(text);
   for (const std::string& p : problems) {
     std::fprintf(stderr, "%s: %s\n", path.string().c_str(), p.c_str());
   }
@@ -215,13 +210,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
       journals.emplace_back(argv[++i]);
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      std::ifstream in(argv[++i]);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      g_baseline = sash::obs::JsonValue::Parse(buf.str());
+      std::string text;
+      const bool read = sash::util::ReadFile(argv[++i], &text);
+      g_baseline = sash::obs::JsonValue::Parse(text);
       const sash::obs::JsonValue* schema =
           g_baseline.has_value() ? g_baseline->Find("schema") : nullptr;
-      if (!in || schema == nullptr || !schema->is_string() ||
+      if (!read || schema == nullptr || !schema->is_string() ||
           schema->string != "sash-bench-baseline-v1") {
         std::fprintf(stderr, "%s: not a sash-bench-baseline-v1 document\n", argv[i]);
         return 2;

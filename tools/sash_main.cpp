@@ -3,10 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <span>
-#include <sstream>
 #include <variant>
 
 #include "batch/batch.h"
@@ -24,6 +21,7 @@
 #include "serve/server.h"
 #include "serve/supervisor.h"
 #include "stream/pipeline.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace {
@@ -244,17 +242,10 @@ void PrintStats(const sash::obs::Registry& registry) {
 }
 
 bool ReadSource(const std::string& path, std::string* out) {
-  std::ifstream file;
-  if (path != "-") {
-    file.open(path);
-    if (!file) {
-      std::fprintf(stderr, "sash: cannot open %s\n", path.c_str());
-      return false;
-    }
+  if (!sash::util::ReadFile(path, out)) {
+    std::fprintf(stderr, "sash: cannot open %s\n", path.c_str());
+    return false;
   }
-  std::ostringstream buf;
-  buf << (path == "-" ? std::cin.rdbuf() : file.rdbuf());
-  *out = buf.str();
   return true;
 }
 
@@ -923,7 +914,7 @@ int CmdTypeof(const std::vector<std::string>& args) {
     std::fprintf(stderr, "sash typeof: cannot parse pipeline\n");
     return 2;
   }
-  sash::rtypes::TypeLibrary lib = sash::rtypes::TypeLibrary::Default();
+  const sash::rtypes::TypeLibrary& lib = sash::rtypes::TypeLibrary::Default();
   sash::stream::PipelineChecker checker(lib);
   sash::stream::PipelineReport report = checker.Check(*parsed.program.body);
   for (const sash::stream::StageReport& s : report.stages) {
