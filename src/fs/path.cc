@@ -1,7 +1,5 @@
 #include "fs/path.h"
 
-#include "util/strings.h"
-
 namespace sash::fs {
 
 bool IsAbsolute(std::string_view path) { return !path.empty() && path.front() == '/'; }
@@ -40,26 +38,50 @@ std::string JoinPath(std::string_view base, std::string_view rel) {
 }
 
 std::string NormalizePath(std::string_view path) {
+  // One pass, one string: `out` is the normalized prefix so far, and its
+  // first `floor` bytes ("/", or a relative path's leading "../..") are
+  // never popped by a "..".
   const bool absolute = IsAbsolute(path);
-  std::vector<std::string> stack;
-  for (std::string& part : SplitPath(path)) {
-    if (part == ".") {
+  std::string out;
+  out.reserve(path.size() + 1);
+  if (absolute) {
+    out += '/';
+  }
+  size_t floor = out.size();
+  size_t i = 0;
+  while (i < path.size()) {
+    while (i < path.size() && path[i] == '/') {
+      ++i;
+    }
+    const size_t start = i;
+    while (i < path.size() && path[i] != '/') {
+      ++i;
+    }
+    const std::string_view part = path.substr(start, i - start);
+    if (part.empty() || part == ".") {
       continue;
     }
     if (part == "..") {
-      if (!stack.empty() && stack.back() != "..") {
-        stack.pop_back();
-      } else if (!absolute) {
-        stack.push_back("..");  // Relative paths keep leading "..".
+      if (out.size() > floor) {
+        const size_t slash = out.rfind('/');
+        out.resize(slash == std::string::npos || slash < floor ? floor : slash);
+        continue;
       }
-      continue;
+      if (absolute) {
+        continue;  // ".." at the root stays at the root.
+      }
+      // Relative paths keep leading "..".
     }
-    stack.push_back(std::move(part));
+    if (!out.empty() && out.back() != '/') {
+      out += '/';
+    }
+    out += part;
+    if (part == "..") {
+      floor = out.size();
+    }
   }
-  std::string joined = Join(stack, "/");
-  std::string out = absolute ? "/" + joined : joined;
   if (out.empty()) {
-    out = ".";
+    out.push_back('.');
   }
   return out;
 }
@@ -70,22 +92,20 @@ std::string DirName(std::string_view path) {
   if (pos == std::string::npos) {
     return ".";
   }
-  if (pos == 0) {
-    return "/";
-  }
-  return norm.substr(0, pos);
+  norm.resize(pos == 0 ? 1 : pos);
+  return norm;
 }
 
 std::string BaseName(std::string_view path) {
   std::string norm = NormalizePath(path);
   if (norm == "/") {
-    return "/";
-  }
-  size_t pos = norm.rfind('/');
-  if (pos == std::string::npos) {
     return norm;
   }
-  return norm.substr(pos + 1);
+  size_t pos = norm.rfind('/');
+  if (pos != std::string::npos) {
+    norm.erase(0, pos + 1);
+  }
+  return norm;
 }
 
 std::string Absolutize(std::string_view path, std::string_view cwd) {

@@ -293,9 +293,11 @@ bool Evaluator::TryBuiltin(const std::string& name, State& st, const syntax::Com
         ++stats_->forks;
         State t = apply(st, outcome.if_true, true);
         t.id = NewStateId();
-        t.Assume("assumed " + outcome.description + " is true");
         State f = apply(std::move(st), outcome.if_false, false);
-        f.Assume("assumed " + outcome.description + " is false");
+        if (t.WantsNote()) {
+          t.Assume("assumed " + outcome.description + " is true");
+          f.Assume("assumed " + outcome.description + " is false");
+        }
         out->push_back(std::move(t));
         out->push_back(std::move(f));
         break;
@@ -363,13 +365,16 @@ std::vector<State> Evaluator::BuiltinCd(State st, const std::vector<Expanded>& a
   ++stats_->forks;
   State ok = st;
   ok.id = NewStateId();
-  ok.Assume("assumed `cd " + target.value.Describe() + "` succeeded");
   if (key.has_value()) {
     ok.sfs.Assume(*key, PathState::kIsDir);
     ++stats_->fs_ops;
   }
   State fail = std::move(st);
-  fail.Assume("assumed `cd " + target.value.Describe() + "` failed");
+  if (ok.WantsNote()) {
+    const std::string target_text = target.value.Describe();
+    ok.Assume("assumed `cd " + target_text + "` succeeded");
+    fail.Assume("assumed `cd " + target_text + "` failed");
+  }
   return {success_state(std::move(ok)), failure_state(std::move(fail))};
 }
 
@@ -420,13 +425,16 @@ std::vector<State> Evaluator::BuiltinRealpath(State st, const std::vector<Expand
   ++stats_->forks;
   State ok = st;
   ok.id = NewStateId();
-  ok.Assume("assumed `realpath " + arg.value.Describe() + "` succeeded");
   if (key.has_value()) {
     ok.sfs.Assume(*key, PathState::kExists);
     ++stats_->fs_ops;
   }
   State fail = std::move(st);
-  fail.Assume("assumed `realpath " + arg.value.Describe() + "` failed");
+  if (ok.WantsNote()) {
+    const std::string arg_text = arg.value.Describe();
+    ok.Assume("assumed `realpath " + arg_text + "` succeeded");
+    fail.Assume("assumed `realpath " + arg_text + "` failed");
+  }
   fail.exit = ExitStatus::Known(1);
   return {success_state(std::move(ok)), std::move(fail)};
 }

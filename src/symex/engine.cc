@@ -270,7 +270,7 @@ std::vector<State> Evaluator::Exec(State st, const Command& cmd, int depth) {
     case CommandKind::kCase:
       return ExecCase(std::move(st), cmd, depth);
     case CommandKind::kFunctionDef:
-      st.functions[cmd.function.sym()] = cmd.function.body;
+      st.functions.write()[cmd.function.sym()] = cmd.function.body;
       st.exit = ExitStatus::Known(0);
       return {std::move(st)};
   }
@@ -280,11 +280,6 @@ std::vector<State> Evaluator::Exec(State st, const Command& cmd, int depth) {
 void Evaluator::ForkOnExit(std::vector<State> states, std::string_view context,
                            std::vector<State>* success, std::vector<State>* failure) {
   for (State& s : states) {
-    if (s.terminated) {
-      // Terminated states flow to neither branch; the caller collects them
-      // via the surviving set it threads through. Route by exit anyway so
-      // callers that ignore termination behave sanely.
-    }
     if (s.exit.MustSucceed()) {
       success->push_back(std::move(s));
     } else if (s.exit.MustFail()) {
@@ -294,11 +289,13 @@ void Evaluator::ForkOnExit(std::vector<State> states, std::string_view context,
       State ok = s;
       ok.id = NewStateId();
       ok.exit = ExitStatus::Known(0);
-      ok.Assume("assumed " + std::string(context) + " succeeded");
       State bad = std::move(s);
       bad.exit = ExitStatus::Known(1);
       bad.assumed_failure = true;
-      bad.Assume("assumed " + std::string(context) + " failed");
+      if (ok.WantsNote()) {
+        ok.Assume("assumed " + std::string(context) + " succeeded");
+        bad.Assume("assumed " + std::string(context) + " failed");
+      }
       success->push_back(std::move(ok));
       failure->push_back(std::move(bad));
     }
@@ -314,18 +311,21 @@ std::vector<State> Evaluator::Control(std::vector<State> states) {
       // survivor rule as the legacy loop). Under paranoid merging, every
       // digest hit is cross-checked against the legacy signature; a
       // mismatch is a collision — counted, and the state kept separate.
-      std::unordered_map<uint64_t, size_t> seen;
-      seen.reserve(states.size() * 2);
+      // `merge_digests_[i]` is merged[i]'s digest; the live set is capped
+      // at max_states, so a linear scan of one reused vector beats hashing.
+      merge_digests_.clear();
       for (State& s : states) {
         uint64_t digest = s.Digest();
-        auto [it, inserted] = seen.emplace(digest, merged.size());
-        if (inserted) {
+        auto seen = std::find(merge_digests_.begin(), merge_digests_.end(), digest);
+        if (seen == merge_digests_.end()) {
+          merge_digests_.push_back(digest);
           merged.push_back(std::move(s));
           continue;
         }
         if (paranoid_merge_ &&
-            StateSignature(s) != StateSignature(merged[it->second])) {
+            StateSignature(s) != StateSignature(merged[seen - merge_digests_.begin()])) {
           ++stats_->digest_collisions;
+          merge_digests_.push_back(digest);
           merged.push_back(std::move(s));
           continue;
         }
@@ -646,7 +646,7 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
     }
 
     auto run_body = [&](State s, bool add_note) -> std::vector<State> {
-      if (add_note) {
+      if (add_note && s.WantsNote()) {
         s.Assume("assumed case matched '" + item.patterns[0].ToDisplayString() + "'");
       }
       // Refine the subject variable in the matched branch.
@@ -692,7 +692,9 @@ std::vector<State> Evaluator::ExecCase(State st, const Command& cmd, int depth) 
             s.Bind(subject.prov->var, var->RestrictTo(item_lang->Complement()));
           }
         }
-        s.Assume("assumed case did not match '" + item.patterns[0].ToDisplayString() + "'");
+        if (s.WantsNote()) {
+          s.Assume("assumed case did not match '" + item.patterns[0].ToDisplayString() + "'");
+        }
         still_remaining.push_back(std::move(s));
       }
       remaining = std::move(still_remaining);
@@ -831,12 +833,13 @@ std::vector<State> Evaluator::ExecSimple(State st, const Command& cmd, int depth
 
   // User-defined functions shadow everything else here. Find() is
   // non-inserting: a name never interned was never defined.
-  if (!st.functions.empty()) {
+  if (!st.functions->empty()) {
     auto name_sym = util::Symbol::Find(name);
     if (name_sym.has_value()) {
-      auto fn = st.functions.find(*name_sym);
-      if (fn != st.functions.end() && fn->second != nullptr) {
-        std::vector<State> results = CallFunction(std::move(st), fn->second, argv, depth);
+      auto fn = st.functions->find(*name_sym);
+      if (fn != st.functions->end() && fn->second != nullptr) {
+        const Command* body = fn->second;
+        std::vector<State> results = CallFunction(std::move(st), body, argv, depth);
         for (State& r : results) {
           ApplyRedirects(r, cmd, depth);
         }
@@ -1080,7 +1083,9 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
       if (i > 0) {
         s.id = NewStateId();
       }
-      s.Assume("assumed " + name + " behaved as " + branches[i].c->ToHoareString(name));
+      if (s.WantsNote()) {
+        s.Assume("assumed " + name + " behaved as " + branches[i].c->ToHoareString(name));
+      }
       out.push_back(apply_case(std::move(s), *branches[i].c, /*assume_pre=*/true));
     }
   }
@@ -1198,10 +1203,11 @@ void Evaluator::Emit(Severity severity, const char* code, SourceRange range, std
   for (std::string& note : extra_notes) {
     d.notes.push_back(DiagnosticNote{{}, std::move(note)});
   }
-  // Attach the path condition so users see *when* the bug bites.
+  // Attach the path condition so users see *when* the bug bites: the first
+  // kMaxNotes - 1 notes, and a marker when the state holds one more.
   size_t shown = 0;
-  for (const std::string& assumption : st.assumptions) {
-    if (++shown > 4) {
+  for (const std::string& assumption : st.assumptions()) {
+    if (++shown == State::kMaxNotes) {
       d.notes.push_back(DiagnosticNote{{}, "(further assumptions elided)"});
       break;
     }

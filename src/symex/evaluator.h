@@ -5,6 +5,7 @@
 #ifndef SASH_SYMEX_EVALUATOR_H_
 #define SASH_SYMEX_EVALUATOR_H_
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -125,6 +126,7 @@ class Evaluator {
   const bool paranoid_merge_ = false;
   int next_state_id_ = 0;
   std::set<std::string> emitted_;  // Dedup key: code@offset@severity.
+  std::vector<uint64_t> merge_digests_;  // Control's digest list, reused per call.
 
   friend class Engine;
 };

@@ -1,5 +1,7 @@
 #include "symfs/symbolic_fs.h"
 
+#include <algorithm>
+
 #include "fs/path.h"
 #include "util/strings.h"
 
@@ -96,33 +98,39 @@ uint64_t SymbolicFs::FactHash(const PathKey& key, PathState state) {
 }
 
 void SymbolicFs::SetFact(const PathKey& key, PathState state) {
-  auto [it, inserted] = facts_.try_emplace(key, state);
-  if (!inserted) {
-    if (it->second == state) {
+  auto found = facts_->find(key);
+  if (found != facts_->end()) {
+    if (found->second == state) {
       return;
     }
-    digest_.Remove(FactHash(it->first, it->second));
-    it->second = state;
+    digest_.Remove(FactHash(key, found->second));
   }
+  facts_.write()[key] = state;
   digest_.Add(FactHash(key, state));
 }
 
-std::map<PathKey, PathState>::iterator SymbolicFs::EraseFact(
-    std::map<PathKey, PathState>::iterator it) {
-  digest_.Remove(FactHash(it->first, it->second));
-  return facts_.erase(it);
+void SymbolicFs::EraseDescendants(const PathKey& key) {
+  auto is_descendant = [&key](const FactMap::value_type& fact) {
+    return key.IsAncestorOf(fact.first);
+  };
+  if (std::none_of(facts_->begin(), facts_->end(), is_descendant)) {
+    return;
+  }
+  FactMap& facts = facts_.write();
+  for (auto it = facts.begin(); it != facts.end();) {
+    if (is_descendant(*it)) {
+      digest_.Remove(FactHash(it->first, it->second));
+      it = facts.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void SymbolicFs::Assume(const PathKey& key, PathState state) {
   if (state == PathState::kAbsent) {
     // Every recorded descendant is gone too.
-    for (auto it = facts_.begin(); it != facts_.end();) {
-      if (key.IsAncestorOf(it->first)) {
-        it = EraseFact(it);
-      } else {
-        ++it;
-      }
-    }
+    EraseDescendants(key);
   }
   if (state == PathState::kIsFile || state == PathState::kIsDir || state == PathState::kExists) {
     // Everything above an existing path is a directory.
@@ -135,7 +143,8 @@ void SymbolicFs::Assume(const PathKey& key, PathState state) {
 
 PathState SymbolicFs::Query(const PathKey& key) const {
   // An absent ancestor forces absence.
-  for (const auto& [fact_key, fact_state] : facts_) {
+  const FactMap& facts = *facts_;
+  for (const auto& [fact_key, fact_state] : facts) {
     if (fact_state == PathState::kAbsent && fact_key.IsAncestorOf(key)) {
       return PathState::kAbsent;
     }
@@ -144,12 +153,12 @@ PathState SymbolicFs::Query(const PathKey& key) const {
       return PathState::kAbsent;
     }
   }
-  auto it = facts_.find(key);
-  if (it != facts_.end()) {
+  auto it = facts.find(key);
+  if (it != facts.end()) {
     return it->second;
   }
   // A recorded descendant implies this path is a directory.
-  for (const auto& [fact_key, fact_state] : facts_) {
+  for (const auto& [fact_key, fact_state] : facts) {
     if (fact_state != PathState::kAbsent && key.IsAncestorOf(fact_key)) {
       return PathState::kIsDir;
     }
@@ -185,7 +194,7 @@ void SymbolicFs::ApplyCreateDir(const PathKey& key) { Assume(key, PathState::kIs
 
 std::string SymbolicFs::ToString() const {
   std::string out;
-  for (const auto& [key, state] : facts_) {
+  for (const auto& [key, state] : *facts_) {
     out += key.ToString();
     out += ": ";
     out += specs::PathStateName(state);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "specs/hoare.h"
+#include "util/cow.h"
 #include "util/hash.h"
 
 namespace sash::symfs {
@@ -79,7 +80,7 @@ class SymbolicFs {
   void ApplyCreateDir(const PathKey& key);
 
   // Number of recorded facts (for explosion benchmarks).
-  size_t FactCount() const { return facts_.size(); }
+  size_t FactCount() const { return facts_->size(); }
 
   // Debug rendering, one "path: state" per line.
   std::string ToString() const;
@@ -91,13 +92,16 @@ class SymbolicFs {
   uint64_t Digest() const { return digest_.value(); }
 
  private:
-  static uint64_t FactHash(const PathKey& key, PathState state);
-  // The only writers of facts_; they keep digest_ in sync.
-  void SetFact(const PathKey& key, PathState state);
-  std::map<PathKey, PathState>::iterator EraseFact(
-      std::map<PathKey, PathState>::iterator it);
+  using FactMap = std::map<PathKey, PathState>;
 
-  std::map<PathKey, PathState> facts_;
+  static uint64_t FactHash(const PathKey& key, PathState state);
+  // The only writers of facts_; they keep digest_ in sync, and neither
+  // clones a shared map when the write would change nothing.
+  void SetFact(const PathKey& key, PathState state);
+  void EraseDescendants(const PathKey& key);
+
+  // Shared between copies (forked states) until one of them writes.
+  util::Cow<FactMap> facts_;
   util::CommutativeDigest digest_;
 };
 

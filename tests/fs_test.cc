@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "fs/filesystem.h"
 #include "fs/glob.h"
 #include "fs/path.h"
@@ -35,6 +39,94 @@ TEST(Path, JoinAndAbsolutize) {
   EXPECT_EQ(Absolutize("x/y", "/home/u"), "/home/u/x/y");
   EXPECT_EQ(Absolutize("/x", "/home/u"), "/x");
   EXPECT_EQ(Absolutize("..", "/home/u"), "/home");
+}
+
+// The split/join normalization NormalizePath replaced, kept as the
+// reference the one-pass version must agree with.
+std::string ReferenceNormalize(std::string_view path) {
+  const bool absolute = IsAbsolute(path);
+  std::vector<std::string> stack;
+  for (std::string& part : SplitPath(path)) {
+    if (part == ".") {
+      continue;
+    }
+    if (part == "..") {
+      if (!stack.empty() && stack.back() != "..") {
+        stack.pop_back();
+      } else if (!absolute) {
+        stack.push_back("..");
+      }
+      continue;
+    }
+    stack.push_back(std::move(part));
+  }
+  std::string joined;
+  for (size_t i = 0; i < stack.size(); ++i) {
+    joined += (i == 0 ? "" : "/") + stack[i];
+  }
+  std::string out = absolute ? "/" + joined : joined;
+  return out.empty() ? "." : out;
+}
+
+std::string ReferenceDirName(std::string_view path) {
+  std::string norm = ReferenceNormalize(path);
+  size_t pos = norm.rfind('/');
+  return pos == std::string::npos ? "." : pos == 0 ? "/" : norm.substr(0, pos);
+}
+
+std::string ReferenceBaseName(std::string_view path) {
+  std::string norm = ReferenceNormalize(path);
+  size_t pos = norm.rfind('/');
+  return norm == "/" || pos == std::string::npos ? norm : norm.substr(pos + 1);
+}
+
+// Every path of up to five components drawn from {"", ".", "..", "...",
+// "a", "bb"}, each gap a single or doubled slash, absolute and relative.
+// An empty first or last component gives the doubled leading and the
+// trailing slashes.
+std::vector<std::string> ExhaustivePaths() {
+  const std::vector<std::string> kParts = {"", ".", "..", "...", "a", "bb"};
+  std::vector<std::string> bodies = {""};
+  std::vector<std::string> level = {""};
+  for (int depth = 1; depth <= 5; ++depth) {
+    std::vector<std::string> next;
+    for (const std::string& prefix : level) {
+      for (const std::string& part : kParts) {
+        if (prefix.empty() && depth == 1) {
+          next.push_back(part);
+          continue;
+        }
+        next.push_back(prefix + "/" + part);
+        next.push_back(prefix + "//" + part);
+      }
+    }
+    bodies.insert(bodies.end(), next.begin(), next.end());
+    level = std::move(next);
+  }
+  std::vector<std::string> out;
+  for (const std::string& body : bodies) {
+    out.push_back(body);
+    out.push_back("/" + body);
+  }
+  return out;
+}
+
+TEST(Path, OnePassMatchesSplitJoinReference) {
+  const std::vector<std::string> paths = ExhaustivePaths();
+  ASSERT_GT(paths.size(), 250000u);
+  size_t mismatches = 0;
+  for (const std::string& path : paths) {
+    const std::string want = ReferenceNormalize(path);
+    const bool same = NormalizePath(path) == want && DirName(path) == ReferenceDirName(path) &&
+                      BaseName(path) == ReferenceBaseName(path) &&
+                      Absolutize(path, "/c/d") == ReferenceNormalize(JoinPath("/c/d", path)) &&
+                      Absolutize(path, "/") == ReferenceNormalize(JoinPath("/", path));
+    if (!same && ++mismatches <= 5) {
+      ADD_FAILURE() << "'" << path << "': reference '" << want << "', one-pass '"
+                    << NormalizePath(path) << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(FileSystem, CreateReadWrite) {

@@ -1,7 +1,68 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "symex/engine.h"
 #include "syntax/parser.h"
+
+namespace {
+
+// Counts the process's heap allocations while armed, for the fork-cost
+// test below. Every replaced new has its matching delete replaced too, so
+// sanitizer runtimes see consistent pairs.
+std::atomic<bool> g_count_allocations{false};
+std::atomic<int64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size, std::size_t align = 0) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  size = size == 0 ? 1 : size;
+  if (align == 0) {
+    return std::malloc(size);
+  }
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void* CountedAllocOrThrow(std::size_t size, std::size_t align = 0) {
+  if (void* p = CountedAlloc(size, align)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// All out of line, so the compiler never pairs an inlined malloc() or
+// free() with a new- or delete-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) { return CountedAllocOrThrow(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return CountedAllocOrThrow(size); }
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace sash::symex {
 namespace {
@@ -437,6 +498,200 @@ INSTANTIATE_TEST_SUITE_P(
                       "d=/var/tmp\nrm -rf \"$d\"/*\n",
                       "d=$(echo /opt/app)\nrm -rf \"$d\"/*\n",
                       "if [ -n \"$1\" ]; then rm -rf \"/scratch/$1\"; fi\n"));
+
+// ---------- forking by sharing ----------
+
+using specs::PathState;
+using symfs::PathKey;
+
+// The same populated state every call: bindings (one maybe-unset), a
+// function, a note and file-system facts.
+State PopulatedState() {
+  State st;
+  st.Bind("a", SymValue::Concrete("1"));
+  st.Bind("b", SymValue::UnknownLine());
+  st.BindMaybeUnset("1", SymValue::UnknownLine());
+  st.functions.write()[util::Symbol::Intern("f")] = nullptr;
+  st.Assume("first note");
+  st.sfs.Assume(PathKey::Concrete("/d/a"), PathState::kIsFile);
+  st.sfs.Assume(PathKey::Concrete("/gone"), PathState::kAbsent);
+  return st;
+}
+
+const std::vector<PathKey>& StateProbes() {
+  static const std::vector<PathKey> probes = {
+      PathKey::Concrete("/d"), PathKey::Concrete("/d/a"), PathKey::Concrete("/gone/x"),
+      PathKey::Concrete("/new"), PathKey::VarRooted("$1", "")};
+  return probes;
+}
+
+// Everything observable about a state, rendered for comparison.
+struct Observed {
+  std::string vars;
+  std::string facts;
+  std::vector<PathState> answers;
+  std::vector<std::string> notes;
+  std::vector<std::string> functions;
+  uint64_t digest = 0;
+
+  bool operator==(const Observed&) const = default;
+};
+
+Observed Observe(const State& st) {
+  Observed out;
+  for (const auto& [name, value] : st.vars()) {
+    out.vars += name.str() + "=" + value.Describe() + (st.MaybeUnset(name) ? "?" : "") + ";";
+  }
+  out.facts = st.sfs.ToString();
+  for (const PathKey& key : StateProbes()) {
+    out.answers.push_back(st.sfs.Query(key));
+  }
+  out.notes = st.assumptions();
+  for (const auto& [name, body] : *st.functions) {
+    out.functions.push_back(name.str());
+  }
+  out.digest = st.Digest();
+  return out;
+}
+
+TEST(StateSharing, CopiesAreIsolatedFromEveryWriter) {
+  using Writer = std::function<void(State*)>;
+  std::vector<std::pair<std::string, Writer>> writers = {
+      {"Bind new", [](State* s) { s->Bind("c", SymValue::Concrete("x")); }},
+      {"Bind existing", [](State* s) { s->Bind("a", SymValue::Concrete("2")); }},
+      {"Bind over maybe-unset", [](State* s) { s->Bind("1", SymValue::Concrete("p")); }},
+      {"BindMaybeUnset", [](State* s) { s->BindMaybeUnset("a", SymValue::UnknownLine()); }},
+      {"Unset", [](State* s) { s->Unset("b"); }},
+      {"Unset maybe-unset", [](State* s) { s->Unset("1"); }},
+      {"Unset missing", [](State* s) { s->Unset("never_bound"); }},
+      {"functions insert",
+       [](State* s) { s->functions.write()[util::Symbol::Intern("g")] = nullptr; }},
+      {"note", [](State* s) { s->Assume("second note"); }},
+      {"RestoreScopeFrom",
+       [](State* s) {
+         State other;
+         other.Bind("z", SymValue::Concrete("zz"));
+         other.functions.write()[util::Symbol::Intern("h")] = nullptr;
+         s->RestoreScopeFrom(other);
+       }},
+      {"ApplyDeleteTree", [](State* s) { s->sfs.ApplyDeleteTree(PathKey::Concrete("/d")); }},
+      {"ApplyDeleteFile", [](State* s) { s->sfs.ApplyDeleteFile(PathKey::Concrete("/d/a")); }},
+      {"ApplyCreateFile",
+       [](State* s) { s->sfs.ApplyCreateFile(PathKey::Concrete("/new/f")); }},
+      {"ApplyCreateDir",
+       [](State* s) { s->sfs.ApplyCreateDir(PathKey::VarRooted("$1", "")); }},
+  };
+  for (PathState state : {PathState::kAny, PathState::kExists, PathState::kIsFile,
+                          PathState::kIsDir, PathState::kAbsent}) {
+    for (const PathKey& key : StateProbes()) {
+      writers.emplace_back(
+          "sfs.Assume(" + key.ToString() + ", " + std::string(specs::PathStateName(state)) + ")",
+          [key, state](State* s) { s->sfs.Assume(key, state); });
+    }
+  }
+
+  for (const auto& [name, write] : writers) {
+    SCOPED_TRACE(name);
+    State original = PopulatedState();
+    const Observed before = Observe(original);
+
+    State copy = original;
+    write(&copy);
+    EXPECT_EQ(Observe(original), before);
+
+    // The same write on a state that was never copied.
+    State fresh = PopulatedState();
+    write(&fresh);
+    EXPECT_EQ(Observe(copy), Observe(fresh));
+
+    // And the other direction: writing the original leaves a copy alone.
+    State copy2 = original;
+    write(&original);
+    EXPECT_EQ(Observe(copy2), before);
+    EXPECT_EQ(Observe(original), Observe(fresh));
+  }
+}
+
+State SizedState(int bindings, int facts, int functions, int notes) {
+  State st;
+  for (int i = 0; i < bindings; ++i) {
+    st.Bind("v" + std::to_string(i), SymValue::Concrete("value number " + std::to_string(i)));
+  }
+  for (int i = 0; i < facts; ++i) {
+    st.sfs.Assume(PathKey::Concrete("/f" + std::to_string(i)), PathState::kIsFile);
+  }
+  for (int i = 0; i < functions; ++i) {
+    st.functions.write()[util::Symbol::Intern("fn" + std::to_string(i))] = nullptr;
+  }
+  for (int i = 0; i < notes; ++i) {
+    st.Assume("assumed step " + std::to_string(i) + " of a long path condition succeeded");
+  }
+  return st;
+}
+
+int64_t AllocationsToCopy(const State& st) {
+  std::vector<State> sink;
+  sink.reserve(1);
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  sink.push_back(st);
+  g_count_allocations.store(false);
+  return g_allocations.load();
+}
+
+TEST(StateSharing, ForkCostDoesNotGrowWithStateSize) {
+  const State small = SizedState(1, 1, 1, 1);
+  const State large = SizedState(64, 64, 3, 5);
+  ASSERT_EQ(large.vars().size(), 64u);
+  ASSERT_GE(large.sfs.FactCount(), 64u);
+  ASSERT_EQ(large.assumptions().size(), 5u);
+  EXPECT_EQ(AllocationsToCopy(large), AllocationsToCopy(small));
+
+  // The counter is live: a heap allocation inside the window is seen.
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  void* p = ::operator new(16);
+  g_count_allocations.store(false);
+  ::operator delete(p);
+  EXPECT_EQ(g_allocations.load(), 1);
+}
+
+TEST(StateSharing, NotesStopAtTheCap) {
+  State st;
+  for (size_t i = 0; i < State::kMaxNotes + 3; ++i) {
+    EXPECT_EQ(st.WantsNote(), i < State::kMaxNotes);
+    st.Assume("note " + std::to_string(i));
+  }
+  ASSERT_EQ(st.assumptions().size(), State::kMaxNotes);
+  EXPECT_EQ(st.assumptions().back(), "note " + std::to_string(State::kMaxNotes - 1));
+}
+
+// A finding renders at most four path-condition notes, and the elision
+// marker exactly when a fifth assumption was recorded.
+TEST(Engine, PathConditionNotesBoundary) {
+  for (int assumptions : {4, 5, 7}) {
+    SCOPED_TRACE(assumptions);
+    std::string src = "read a b c d e f g\n";
+    for (int i = 0; i < assumptions; ++i) {
+      src += "[ -n \"$" + std::string(1, static_cast<char>('a' + i)) + "\" ]\n";
+    }
+    src += "rm -rf /\n";
+    RunResult r = RunScript(src);
+    const Diagnostic* d = FindCode(r, kCodeDeleteRoot);
+    ASSERT_NE(d, nullptr);
+    int conditions = 0;
+    int elided = 0;
+    for (const DiagnosticNote& note : d->notes) {
+      conditions += note.message.rfind("path condition: ", 0) == 0 ? 1 : 0;
+      elided += note.message == "(further assumptions elided)" ? 1 : 0;
+    }
+    EXPECT_EQ(conditions, 4);
+    EXPECT_EQ(elided, assumptions > 4 ? 1 : 0);
+    for (const State& st : r.finals) {
+      EXPECT_LE(st.assumptions().size(), State::kMaxNotes);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sash::symex

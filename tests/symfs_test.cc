@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "symfs/symbolic_fs.h"
 
 namespace sash::symfs {
@@ -122,6 +127,86 @@ TEST(SymbolicFs, ToStringListsFacts) {
   sfs.Assume(PathKey::Concrete("/x"), PathState::kIsFile);
   std::string s = sfs.ToString();
   EXPECT_NE(s.find("/x: path.F"), std::string::npos);
+}
+
+// Copies share their fact map until one side writes (copy-on-write); a
+// write to one copy must never show through the other.
+void Populate(SymbolicFs* sfs) {
+  sfs->Assume(PathKey::Concrete("/d/a"), PathState::kIsFile);
+  sfs->Assume(PathKey::Concrete("/d/b/c"), PathState::kIsDir);
+  sfs->Assume(PathKey::Concrete("/gone"), PathState::kAbsent);
+  sfs->Assume(PathKey::VarRooted("$1", "config"), PathState::kExists);
+}
+
+const std::vector<PathKey>& Probes() {
+  static const std::vector<PathKey> probes = {
+      PathKey::Concrete("/d"),      PathKey::Concrete("/d/a"),
+      PathKey::Concrete("/d/b"),    PathKey::Concrete("/d/b/c"),
+      PathKey::Concrete("/gone/x"), PathKey::Concrete("/new"),
+      PathKey::Concrete("/new/f"),  PathKey::VarRooted("$1", ""),
+      PathKey::VarRooted("$1", "config"),
+  };
+  return probes;
+}
+
+std::vector<PathState> Answers(const SymbolicFs& sfs) {
+  std::vector<PathState> out;
+  for (const PathKey& key : Probes()) {
+    out.push_back(sfs.Query(key));
+  }
+  return out;
+}
+
+TEST(SymbolicFs, CopiesAreIsolatedFromEveryWriter) {
+  using Writer = std::function<void(SymbolicFs*)>;
+  std::vector<std::pair<std::string, Writer>> writers;
+  for (PathState state : {PathState::kAny, PathState::kExists, PathState::kIsFile,
+                          PathState::kIsDir, PathState::kAbsent}) {
+    for (const PathKey& key : Probes()) {
+      writers.emplace_back(
+          "Assume(" + key.ToString() + ", " + std::string(specs::PathStateName(state)) + ")",
+          [key, state](SymbolicFs* sfs) { sfs->Assume(key, state); });
+    }
+  }
+  writers.emplace_back("ApplyDeleteTree(/d)",
+                       [](SymbolicFs* sfs) { sfs->ApplyDeleteTree(PathKey::Concrete("/d")); });
+  writers.emplace_back("ApplyDeleteFile(/d/a)",
+                       [](SymbolicFs* sfs) { sfs->ApplyDeleteFile(PathKey::Concrete("/d/a")); });
+  writers.emplace_back("ApplyCreateFile(/new/f)",
+                       [](SymbolicFs* sfs) { sfs->ApplyCreateFile(PathKey::Concrete("/new/f")); });
+  writers.emplace_back("ApplyCreateDir($1)", [](SymbolicFs* sfs) {
+    sfs->ApplyCreateDir(PathKey::VarRooted("$1", ""));
+  });
+
+  for (const auto& [name, write] : writers) {
+    SCOPED_TRACE(name);
+    SymbolicFs original;
+    Populate(&original);
+    const std::string text = original.ToString();
+    const std::vector<PathState> answers = Answers(original);
+    const uint64_t digest = original.Digest();
+
+    SymbolicFs copy = original;
+    write(&copy);
+    EXPECT_EQ(original.ToString(), text);
+    EXPECT_EQ(Answers(original), answers);
+    EXPECT_EQ(original.Digest(), digest);
+
+    // The same writes on a store that was never copied.
+    SymbolicFs fresh;
+    Populate(&fresh);
+    write(&fresh);
+    EXPECT_EQ(copy.ToString(), fresh.ToString());
+    EXPECT_EQ(Answers(copy), Answers(fresh));
+    EXPECT_EQ(copy.Digest(), fresh.Digest());
+
+    // And the other direction: writing the original leaves the copy alone.
+    SymbolicFs copy2 = original;
+    write(&original);
+    EXPECT_EQ(copy2.ToString(), text);
+    EXPECT_EQ(copy2.Digest(), digest);
+    EXPECT_EQ(original.Digest(), fresh.Digest());
+  }
 }
 
 }  // namespace
