@@ -1,7 +1,8 @@
 // Experiment T6 (§4 gradual trade-off): "the cost of maintaining safety
 // without annotations is monitoring overhead". Run the same pipeline with
 // monitoring off / gradual (untyped-adjacent only) / full, over growing
-// inputs, and report the overhead factor.
+// inputs, and report the overhead factor and throughput. The unmonitored
+// 10k-line cost per line is gated in bench/baseline.json.
 #include <chrono>
 
 #include "bench_util.h"
@@ -10,14 +11,24 @@
 
 namespace {
 
-sash::fs::FileSystem MakeInput(int lines) {
-  sash::fs::FileSystem fs;
+std::string InputData(int lines) {
   std::string data;
   for (int i = 0; i < lines; ++i) {
     data += std::to_string((i * 7919) % 100000) + "\n";
   }
-  fs.WriteFile("/nums", data);
+  return data;
+}
+
+sash::fs::FileSystem MakeInput(int lines) {
+  sash::fs::FileSystem fs;
+  fs.WriteFile("/nums", InputData(lines));
   return fs;
+}
+
+std::string MegabytesPerSecond(size_t bytes, double us) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", static_cast<double>(bytes) / us);
+  return buf;
 }
 
 double TimedRun(const sash::syntax::Program& program, int lines, bool monitored, bool all,
@@ -42,7 +53,8 @@ double TimedRun(const sash::syntax::Program& program, int lines, bool monitored,
 void PrintResult() {
   sash::syntax::ParseOutput parsed = sash::syntax::Parse("cat /nums | sort -n | uniq");
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"input lines", "unmonitored us", "full-monitor us", "overhead", "lines checked"});
+  rows.push_back({"input lines", "input bytes", "unmonitored us", "unmonitored MB/s",
+                  "full-monitor us", "full-monitor MB/s", "overhead", "lines checked"});
   for (int lines : {100, 1000, 10000}) {
     size_t checked_off = 0;
     size_t checked_all = 0;
@@ -55,9 +67,15 @@ void PrintResult() {
     }
     char overhead[16];
     std::snprintf(overhead, sizeof(overhead), "%.2fx", all / off);
-    rows.push_back({std::to_string(lines), std::to_string(static_cast<long>(off)),
-                    std::to_string(static_cast<long>(all)), overhead,
-                    std::to_string(checked_all)});
+    const size_t bytes = InputData(lines).size();
+    rows.push_back({std::to_string(lines), std::to_string(bytes),
+                    std::to_string(static_cast<long>(off)), MegabytesPerSecond(bytes, off),
+                    std::to_string(static_cast<long>(all)), MegabytesPerSecond(bytes, all),
+                    overhead, std::to_string(checked_all)});
+    if (lines == 10000) {
+      sash::bench::Metric("t6.unmonitored_ns_per_line_10k",
+                          static_cast<int64_t>(off * 1000.0 / lines));
+    }
   }
   sash::bench::PrintTable(
       "T6: runtime monitoring overhead (expected: modest constant factor, linear in lines)",

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <set>
+#include <string_view>
 
 #include "fs/glob.h"
 #include "fs/path.h"
@@ -26,41 +28,81 @@ RunResult Fail(int code, std::string err) {
   return r;
 }
 
-std::vector<std::string> InputLines(fs::FileSystem& fs, const Invocation& inv,
-                                    const std::string& stdin_data, size_t first_operand,
-                                    int* exit_code, std::string* err) {
-  std::vector<std::string> lines;
-  bool any_file = false;
+// Calls `fn` with each line of `data` as a view into it, split exactly as
+// SplitLines splits: a final '\n' ends the last line rather than starting an
+// empty one, and an unterminated last line still counts.
+template <typename Fn>
+void ForEachLine(std::string_view data, Fn&& fn) {
+  size_t start = 0;
+  while (start < data.size()) {
+    size_t pos = data.find('\n', start);
+    if (pos == std::string_view::npos) {
+      fn(data.substr(start));
+      return;
+    }
+    fn(data.substr(start, pos - start));
+    start = pos + 1;
+  }
+}
+
+// The input of a line filter: its file operands (each split into lines on
+// its own, in order) or, when it names none, stdin. Lines are views into
+// these buffers, so they live as long as the LineInput.
+struct LineInput {
+  std::vector<std::string> files;         // Contents of the readable file operands.
+  std::vector<std::string_view> buffers;  // What ForEach splits, in order.
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::string_view buffer : buffers) {
+      ForEachLine(buffer, fn);
+    }
+  }
+
+  std::vector<std::string_view> Lines() const {
+    std::vector<std::string_view> lines;
+    ForEach([&](std::string_view line) { lines.push_back(line); });
+    return lines;
+  }
+};
+
+LineInput ReadInput(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data,
+                    size_t first_operand, int* exit_code, std::string* err) {
+  LineInput input;
+  if (first_operand >= inv.operands.size()) {
+    input.buffers.push_back(stdin_data);
+    return input;
+  }
   for (size_t i = first_operand; i < inv.operands.size(); ++i) {
-    any_file = true;
     Result<std::string> content = fs.ReadFile(inv.operands[i]);
     if (!content.ok()) {
       *exit_code = inv.command == "grep" ? 2 : 1;
       *err += inv.command + ": " + content.status().message() + "\n";
       continue;
     }
-    for (std::string& line : SplitLines(*content)) {
-      lines.push_back(std::move(line));
-    }
+    input.files.push_back(std::move(*content));
   }
-  if (!any_file) {
-    lines = SplitLines(stdin_data);
-  }
-  return lines;
+  // Views are taken once `files` stops growing: a reallocation would move
+  // short (inline-stored) strings.
+  input.buffers.assign(input.files.begin(), input.files.end());
+  return input;
 }
 
-std::string JoinLines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
+void AppendLine(std::string* out, std::string_view line) {
+  out->append(line);
+  out->push_back('\n');
+}
+
+void AppendLineNumber(std::string* out, int lineno) {
+  char buf[16];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), lineno);
+  out->append(buf, end);
+  out->push_back(':');
 }
 
 // Leftmost-longest scan of `body` matches inside `line` using the DFA.
 std::vector<std::pair<size_t, size_t>> FindMatches(const regex::Regex& body,
-                                                   const std::string& line) {
+                                                   std::string_view line) {
   std::vector<std::pair<size_t, size_t>> out;
   const regex::Dfa& dfa = body.dfa();
   size_t pos = 0;
@@ -101,44 +143,38 @@ RunResult CmdEcho(const Invocation& inv) {
   return r;
 }
 
-RunResult CmdCat(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdCat(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
-  std::vector<std::string> pieces;
   if (inv.operands.empty()) {
-    pieces.push_back(stdin_data);
+    r.out.assign(stdin_data);
   } else {
     for (const std::string& path : inv.operands) {
-      if (fs.IsDir(path)) {
-        r.exit_code = 1;
-        r.err += "cat: " + path + ": Is a directory\n";
-        continue;
-      }
+      // Read first, as open(2) would: a readable file costs one file-system
+      // operation (and one trace entry), not a stat and then a read.
       Result<std::string> content = fs.ReadFile(path);
       if (!content.ok()) {
         r.exit_code = 1;
-        r.err += "cat: " + content.status().message() + "\n";
+        r.err += content.code() == Errc::kIsDir ? "cat: " + path + ": Is a directory\n"
+                                                : "cat: " + content.status().message() + "\n";
         continue;
       }
-      pieces.push_back(*content);
+      if (r.out.empty()) {
+        r.out = std::move(*content);
+      } else {
+        r.out += *content;
+      }
     }
-  }
-  std::string joined;
-  for (const std::string& p : pieces) {
-    joined += p;
   }
   if (inv.HasFlag('n')) {
     std::string numbered;
     int n = 1;
-    for (const std::string& line : SplitLines(joined)) {
+    ForEachLine(r.out, [&](std::string_view line) {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%6d\t", n++);
       numbered += buf;
-      numbered += line;
-      numbered += '\n';
-    }
+      AppendLine(&numbered, line);
+    });
     r.out = std::move(numbered);
-  } else {
-    r.out = std::move(joined);
   }
   return r;
 }
@@ -332,7 +368,7 @@ RunResult CmdRealpath(fs::FileSystem& fs, const Invocation& inv) {
   return r;
 }
 
-RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
   std::string pattern;
   size_t first_file = 0;
@@ -344,7 +380,12 @@ RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, const std::string& 
   } else {
     return Fail(2, "grep: missing pattern\n");
   }
-  if (inv.HasFlag('i')) {
+  const bool ignore_case = inv.HasFlag('i');
+  const bool invert = inv.HasFlag('v');
+  const bool count_only = inv.HasFlag('q') || inv.HasFlag('c');
+  const bool only_matching = inv.HasFlag('o') && !invert;
+  const bool number = inv.HasFlag('n');
+  if (ignore_case) {
     pattern = AsciiLower(pattern);
   }
   std::optional<regex::Regex> body;
@@ -360,41 +401,45 @@ RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, const std::string& 
       return Fail(2, "grep: invalid pattern: " + err + "\n");
     }
   }
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, first_file, &r.exit_code,
-                                              &r.err);
+  LineInput input = ReadInput(fs, inv, stdin_data, first_file, &r.exit_code, &r.err);
   if (r.exit_code == 2) {
     return r;
   }
+  const regex::Dfa& dfa = search->dfa();
   int matches = 0;
   int lineno = 0;
-  for (const std::string& raw : lines) {
+  std::string lowered;
+  input.ForEach([&](std::string_view raw) {
     ++lineno;
-    std::string line = inv.HasFlag('i') ? AsciiLower(raw) : raw;
-    bool hit = search->Matches(line);
-    if (inv.HasFlag('v')) {
-      hit = !hit;
+    std::string_view line = raw;
+    if (ignore_case) {
+      lowered.assign(raw);
+      for (char& c : lowered) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      line = lowered;
     }
-    if (!hit) {
-      continue;
+    if (dfa.Accepts(line) == invert) {
+      return;
     }
     ++matches;
-    if (inv.HasFlag('q') || inv.HasFlag('c')) {
-      continue;
+    if (count_only) {
+      return;
     }
-    if (inv.HasFlag('o') && !inv.HasFlag('v')) {
+    if (only_matching) {
       for (const auto& [begin, end] : FindMatches(*body, line)) {
-        if (inv.HasFlag('n')) {
-          r.out += std::to_string(lineno) + ":";
+        if (number) {
+          AppendLineNumber(&r.out, lineno);
         }
-        r.out += raw.substr(begin, end - begin) + "\n";
+        AppendLine(&r.out, raw.substr(begin, end - begin));
       }
-      continue;
+      return;
     }
-    if (inv.HasFlag('n')) {
-      r.out += std::to_string(lineno) + ":";
+    if (number) {
+      AppendLineNumber(&r.out, lineno);
     }
-    r.out += raw + "\n";
-  }
+    AppendLine(&r.out, raw);
+  });
   if (inv.HasFlag('c')) {
     r.out = std::to_string(matches) + "\n";
   }
@@ -404,7 +449,7 @@ RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, const std::string& 
   return r;
 }
 
-RunResult CmdSed(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdSed(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
   std::string script;
   size_t first_file = 0;
@@ -427,42 +472,41 @@ RunResult CmdSed(fs::FileSystem& fs, const Invocation& inv, const std::string& s
   const std::string& re_text = parts[0];
   const std::string& repl = parts[1];
   const bool global = parts.size() > 2 && parts[2] == "g";
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, first_file, &r.exit_code,
-                                              &r.err);
   // Anchor handling: ^ inserts at start, $ appends at end.
-  if (re_text == "^") {
-    for (std::string& line : lines) {
-      line = repl + line;
-    }
-  } else if (re_text == "$") {
-    for (std::string& line : lines) {
-      line += repl;
-    }
-  } else {
+  std::optional<regex::Regex> body;
+  if (re_text != "^" && re_text != "$") {
     std::string err;
-    std::optional<regex::Regex> body = regex::Regex::FromPattern(re_text, &err);
+    body = regex::Regex::FromPattern(re_text, &err);
     if (!body.has_value()) {
       return Fail(2, "sed: invalid expression: " + err + "\n");
     }
-    for (std::string& line : lines) {
-      std::string rebuilt;
-      size_t consumed = 0;
-      for (const auto& [begin, end] : FindMatches(*body, line)) {
-        if (begin < consumed) {
-          continue;
-        }
-        rebuilt += line.substr(consumed, begin - consumed);
-        rebuilt += repl;
-        consumed = end;
-        if (!global) {
-          break;
-        }
-      }
-      rebuilt += line.substr(consumed);
-      line = std::move(rebuilt);
-    }
   }
-  r.out = JoinLines(lines);
+  LineInput input = ReadInput(fs, inv, stdin_data, first_file, &r.exit_code, &r.err);
+  input.ForEach([&](std::string_view line) {
+    if (re_text == "^") {
+      r.out += repl;
+      AppendLine(&r.out, line);
+      return;
+    }
+    if (re_text == "$") {
+      r.out.append(line);
+      AppendLine(&r.out, repl);
+      return;
+    }
+    size_t consumed = 0;
+    for (const auto& [begin, end] : FindMatches(*body, line)) {
+      if (begin < consumed) {
+        continue;
+      }
+      r.out.append(line.substr(consumed, begin - consumed));
+      r.out += repl;
+      consumed = end;
+      if (!global) {
+        break;
+      }
+    }
+    AppendLine(&r.out, line.substr(consumed));
+  });
   return r;
 }
 
@@ -492,57 +536,151 @@ bool InRanges(const std::vector<std::pair<int, int>>& ranges, int v) {
   return false;
 }
 
-RunResult CmdCut(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdCut(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
+  LineInput input = ReadInput(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
   if (std::optional<std::string> fields = inv.FlagArg('f'); fields.has_value()) {
     char delim = '\t';
     if (std::optional<std::string> d = inv.FlagArg('d'); d.has_value() && !d->empty()) {
       delim = (*d)[0];
     }
-    std::vector<std::pair<int, int>> ranges = ParseRanges(*fields);
-    for (const std::string& line : lines) {
-      if (line.find(delim) == std::string::npos) {
-        r.out += line + "\n";  // POSIX: lines without the delimiter pass through.
-        continue;
-      }
-      std::vector<std::string> cols = Split(line, delim);
-      std::vector<std::string> picked;
-      for (int i = 0; i < static_cast<int>(cols.size()); ++i) {
-        if (InRanges(ranges, i + 1)) {
-          picked.push_back(cols[static_cast<size_t>(i)]);
-        }
-      }
-      r.out += Join(picked, std::string(1, delim)) + "\n";
+    const std::vector<std::pair<int, int>> ranges = ParseRanges(*fields);
+    int last_wanted = 0;
+    for (const auto& [lo, hi] : ranges) {
+      last_wanted = std::max(last_wanted, hi);
     }
+    input.ForEach([&](std::string_view line) {
+      if (line.find(delim) == std::string_view::npos) {
+        AppendLine(&r.out, line);  // POSIX: lines without the delimiter pass through.
+        return;
+      }
+      bool first = true;
+      size_t start = 0;
+      for (int col = 1; col <= last_wanted; ++col) {
+        size_t end = line.find(delim, start);
+        if (InRanges(ranges, col)) {
+          if (!first) {
+            r.out += delim;
+          }
+          r.out.append(line.substr(start, end - start));
+          first = false;
+        }
+        if (end == std::string_view::npos) {
+          break;
+        }
+        start = end + 1;
+      }
+      r.out += '\n';
+    });
     return r;
   }
   if (std::optional<std::string> chars = inv.FlagArg('c'); chars.has_value()) {
-    std::vector<std::pair<int, int>> ranges = ParseRanges(*chars);
-    for (const std::string& line : lines) {
-      std::string picked;
+    const std::vector<std::pair<int, int>> ranges = ParseRanges(*chars);
+    input.ForEach([&](std::string_view line) {
       for (int i = 0; i < static_cast<int>(line.size()); ++i) {
         if (InRanges(ranges, i + 1)) {
-          picked += line[static_cast<size_t>(i)];
+          r.out += line[static_cast<size_t>(i)];
         }
       }
-      r.out += picked + "\n";
-    }
+      r.out += '\n';
+    });
     return r;
   }
   return Fail(2, "cut: you must specify a list of fields or characters\n");
 }
 
-RunResult CmdSort(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+// `sort -n` key: the leading [blanks][-]digits[.digits] of the line, as
+// POSIX reads it (so "1e3" is 1 and "0x10" is 0); a line with no number
+// reads as 0.
+double NumericKey(std::string_view line) {
+  auto is_digit = [&](size_t i) { return i < line.size() && line[i] >= '0' && line[i] <= '9'; };
+  size_t i = 0;
+  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
+    ++i;
+  }
+  const size_t begin = i;
+  if (i < line.size() && line[i] == '-') {
+    ++i;
+  }
+  const size_t int_begin = i;
+  while (is_digit(i)) {
+    ++i;
+  }
+  size_t end = i;
+  if (i < line.size() && line[i] == '.' && is_digit(i + 1)) {
+    for (end = i + 1; is_digit(end); ++end) {
+    }
+  } else if (end == int_begin) {
+    return 0;
+  } else if (end - int_begin <= 15) {  // Exact in a double: skip the float parser.
+    int64_t digits = 0;
+    for (size_t k = int_begin; k < end; ++k) {
+      digits = digits * 10 + (line[k] - '0');
+    }
+    return begin == int_begin ? static_cast<double>(digits) : -static_cast<double>(digits);
+  }
+  double value = 0;
+  std::from_chars(line.data() + begin, line.data() + end, value);
+  return value;
+}
+
+RunResult CmdSort(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
-  const bool numeric = inv.HasFlag('n') || inv.HasFlag('g');
-  if (numeric) {
-    std::stable_sort(lines.begin(), lines.end(), [](const std::string& a, const std::string& b) {
-      return std::strtod(a.c_str(), nullptr) < std::strtod(b.c_str(), nullptr);
-    });
+  LineInput input = ReadInput(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
+  std::vector<std::string_view> lines = input.Lines();
+  if (inv.HasFlag('n') || inv.HasFlag('g')) {
+    // Each key is parsed once; ties keep input order. `-g` reads the whole
+    // line with strtod and puts NaN before every number, as GNU sort does.
+    struct Key {
+      double value;
+      size_t index;
+    };
+    const bool general = inv.HasFlag('g');
+    std::string scratch;  // strtod needs a terminated copy of the line.
+    std::vector<Key> keys;
+    keys.reserve(lines.size());
+    for (size_t i = 0; i < lines.size(); ++i) {
+      double value = 0;
+      if (general) {
+        scratch.assign(lines[i]);
+        value = std::strtod(scratch.c_str(), nullptr);
+      } else {
+        value = NumericKey(lines[i]);
+      }
+      keys.push_back({value, i});
+    }
+    auto numbers = std::stable_partition(keys.begin(), keys.end(),
+                                         [](const Key& k) { return std::isnan(k.value); });
+    std::stable_sort(numbers, keys.end(),
+                     [](const Key& a, const Key& b) { return a.value < b.value; });
+    std::vector<std::string_view> sorted;
+    sorted.reserve(lines.size());
+    for (const Key& k : keys) {
+      sorted.push_back(lines[k.index]);
+    }
+    lines = std::move(sorted);
   } else {
-    std::stable_sort(lines.begin(), lines.end());
+    // Byte order, decided on the first eight bytes (big-endian, so integer
+    // order is byte order) and only on a tie by comparing the lines.
+    struct Key {
+      uint64_t prefix;
+      std::string_view line;
+    };
+    std::vector<Key> keys;
+    keys.reserve(lines.size());
+    for (std::string_view line : lines) {
+      uint64_t prefix = 0;
+      for (size_t i = 0; i < 8; ++i) {
+        prefix = prefix << 8 | (i < line.size() ? static_cast<unsigned char>(line[i]) : 0);
+      }
+      keys.push_back({prefix, line});
+    }
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+      return a.prefix != b.prefix ? a.prefix < b.prefix : a.line < b.line;
+    });
+    for (size_t i = 0; i < keys.size(); ++i) {
+      lines[i] = keys[i].line;
+    }
   }
   if (inv.HasFlag('r')) {
     std::reverse(lines.begin(), lines.end());
@@ -550,30 +688,26 @@ RunResult CmdSort(fs::FileSystem& fs, const Invocation& inv, const std::string& 
   if (inv.HasFlag('u')) {
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   }
-  r.out = JoinLines(lines);
+  for (std::string_view line : lines) {
+    AppendLine(&r.out, line);
+  }
   return r;
 }
 
-RunResult CmdHeadTail(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data,
+RunResult CmdHeadTail(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data,
                       bool head) {
   RunResult r;
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
+  LineInput input = ReadInput(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
   size_t n = 10;
   if (std::optional<std::string> arg = inv.FlagArg('n'); arg.has_value()) {
     n = static_cast<size_t>(std::atol(arg->c_str()));
   }
-  std::vector<std::string> picked;
-  if (head) {
-    for (size_t i = 0; i < lines.size() && i < n; ++i) {
-      picked.push_back(lines[i]);
-    }
-  } else {
-    size_t start = lines.size() > n ? lines.size() - n : 0;
-    for (size_t i = start; i < lines.size(); ++i) {
-      picked.push_back(lines[i]);
-    }
+  std::vector<std::string_view> lines = input.Lines();
+  const size_t begin = head ? 0 : lines.size() - std::min(n, lines.size());
+  const size_t end = head ? std::min(n, lines.size()) : lines.size();
+  for (size_t i = begin; i < end; ++i) {
+    AppendLine(&r.out, lines[i]);
   }
-  r.out = JoinLines(picked);
   return r;
 }
 
@@ -599,7 +733,7 @@ std::string ExpandTrSet(const std::string& set) {
   return out;
 }
 
-RunResult CmdTr(const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdTr(const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
   if (inv.operands.empty()) {
     return Fail(1, "tr: missing operand\n");
@@ -628,46 +762,50 @@ RunResult CmdTr(const Invocation& inv, const std::string& stdin_data) {
   return r;
 }
 
-RunResult CmdUniq(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdUniq(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
-  std::vector<std::string> lines = InputLines(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
-  std::string prev;
+  LineInput input = ReadInput(fs, inv, stdin_data, 0, &r.exit_code, &r.err);
+  const bool repeated_only = inv.HasFlag('d');
+  const bool counted = inv.HasFlag('c');
+  std::string_view prev;
   bool have_prev = false;
   int count = 0;
   auto flush = [&] {
     if (!have_prev) {
       return;
     }
-    if (inv.HasFlag('d') && count < 2) {
+    if (repeated_only && count < 2) {
       return;
     }
-    if (inv.HasFlag('c')) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%7d ", count);
-      r.out += buf;
+    if (counted) {  // printf's "%7d ".
+      char buf[16];
+      const char* end = std::to_chars(buf, buf + sizeof(buf), count).ptr;
+      const size_t len = static_cast<size_t>(end - buf);
+      r.out.append(len < 7 ? 7 - len : 0, ' ');
+      r.out.append(buf, len);
+      r.out += ' ';
     }
-    r.out += prev + "\n";
+    AppendLine(&r.out, prev);
   };
-  for (const std::string& line : lines) {
+  input.ForEach([&](std::string_view line) {
     if (have_prev && line == prev) {
       ++count;
-      continue;
+      return;
     }
     flush();
     prev = line;
     have_prev = true;
     count = 1;
-  }
+  });
   flush();
   return r;
 }
 
-RunResult CmdWc(fs::FileSystem& fs, const Invocation& inv, const std::string& stdin_data) {
+RunResult CmdWc(fs::FileSystem& fs, const Invocation& inv, std::string_view stdin_data) {
   RunResult r;
-  std::string data;
-  if (inv.operands.empty()) {
-    data = stdin_data;
-  } else {
+  std::string joined;
+  std::string_view data = stdin_data;
+  if (!inv.operands.empty()) {
     for (const std::string& path : inv.operands) {
       Result<std::string> content = fs.ReadFile(path);
       if (!content.ok()) {
@@ -675,8 +813,9 @@ RunResult CmdWc(fs::FileSystem& fs, const Invocation& inv, const std::string& st
         r.err += "wc: " + content.status().message() + "\n";
         continue;
       }
-      data += *content;
+      joined += *content;
     }
+    data = joined;
   }
   size_t lines = 0;
   size_t words = 0;
@@ -771,7 +910,7 @@ RunResult CmdCurl(fs::FileSystem& fs, const Invocation& inv, const World& world)
 }  // namespace
 
 RunResult RunCommand(fs::FileSystem& fs, const std::vector<std::string>& argv,
-                     const std::string& stdin_data, const World& world) {
+                     std::string_view stdin_data, const World& world) {
   if (argv.empty()) {
     return Fail(127, "sh: empty command\n");
   }

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fs/filesystem.h"
@@ -36,9 +37,11 @@ struct World {
 };
 
 // Executes `argv` (argv[0] is the command name) with `stdin_data` against
-// `fs`. Unknown commands return exit 127 with a shell-style error.
+// `fs`. Unknown commands return exit 127 with a shell-style error. Line
+// filters read their input as views into `stdin_data` (or the files they
+// name) and append straight into RunResult::out.
 RunResult RunCommand(fs::FileSystem& fs, const std::vector<std::string>& argv,
-                     const std::string& stdin_data = "", const World& world = World());
+                     std::string_view stdin_data = {}, const World& world = World());
 
 // True when a model exists for `name`.
 bool HasCommand(const std::string& name);

@@ -94,6 +94,7 @@ bool Interpreter::InvokeGuard(const std::vector<std::string>& argv, std::string*
 }
 
 InterpResult Interpreter::Run(const syntax::Program& program) {
+  fs_->ClearTrace();
   ExecContext ctx;
   ctx.stdin_data = options_.stdin_data;
   int code = ExecProgram(program, ctx);
@@ -115,11 +116,12 @@ InterpResult Interpreter::Run(const syntax::Program& program) {
   return result;
 }
 
-void Interpreter::Emit(ExecContext& ctx, const std::string& text) {
-  if (ctx.out != nullptr) {
-    *ctx.out += text;
+void Interpreter::Emit(const ExecContext& ctx, std::string text) {
+  std::string& sink = ctx.out != nullptr ? *ctx.out : out_;
+  if (sink.empty()) {
+    sink = std::move(text);
   } else {
-    out_ += text;
+    sink += text;
   }
 }
 
@@ -129,7 +131,7 @@ int Interpreter::ExecProgram(const syntax::Program& program, ExecContext ctx) {
   if (program.body == nullptr) {
     return 0;
   }
-  return ExecCommand(*program.body, std::move(ctx));
+  return ExecCommand(*program.body, ctx);
 }
 
 int Interpreter::ExecCommand(const Command& cmd, ExecContext ctx) {
@@ -145,17 +147,16 @@ int Interpreter::ExecCommand(const Command& cmd, ExecContext ctx) {
   }
   switch (cmd.kind) {
     case CommandKind::kSimple:
-      return ExecSimple(cmd, std::move(ctx));
+      return ExecSimple(cmd, ctx);
     case CommandKind::kPipeline:
-      return ExecPipeline(cmd, std::move(ctx));
+      return ExecPipeline(cmd, ctx);
     case CommandKind::kList:
-      return ExecList(cmd, std::move(ctx));
+      return ExecList(cmd, ctx);
     case CommandKind::kSubshell: {
       // Variable and cwd isolation; FS effects persist.
       std::map<std::string, std::string> saved_vars = vars_;
       std::string saved_cwd = fs_->cwd();
-      int code = cmd.subshell.body != nullptr ? ExecCommand(*cmd.subshell.body, std::move(ctx))
-                                              : 0;
+      int code = cmd.subshell.body != nullptr ? ExecCommand(*cmd.subshell.body, ctx) : 0;
       vars_ = std::move(saved_vars);
       fs_->ChangeDir(saved_cwd);
       exited_ = false;  // `exit` only leaves the subshell.
@@ -163,18 +164,17 @@ int Interpreter::ExecCommand(const Command& cmd, ExecContext ctx) {
       return code;
     }
     case CommandKind::kBraceGroup:
-      return cmd.brace.body != nullptr ? ExecCommand(*cmd.brace.body, std::move(ctx)) : 0;
+      return cmd.brace.body != nullptr ? ExecCommand(*cmd.brace.body, ctx) : 0;
     case CommandKind::kIf: {
       int cond = cmd.if_cmd.condition != nullptr ? ExecCommand(*cmd.if_cmd.condition, ctx) : 1;
       if (exited_ || aborted_) {
         return cond;
       }
       if (cond == 0) {
-        last_exit_ = cmd.if_cmd.then_body != nullptr
-                         ? ExecCommand(*cmd.if_cmd.then_body, std::move(ctx))
-                         : 0;
+        last_exit_ =
+            cmd.if_cmd.then_body != nullptr ? ExecCommand(*cmd.if_cmd.then_body, ctx) : 0;
       } else if (cmd.if_cmd.else_body != nullptr) {
-        last_exit_ = ExecCommand(*cmd.if_cmd.else_body, std::move(ctx));
+        last_exit_ = ExecCommand(*cmd.if_cmd.else_body, ctx);
       } else {
         last_exit_ = 0;
       }
@@ -200,7 +200,7 @@ int Interpreter::ExecCommand(const Command& cmd, ExecContext ctx) {
       std::vector<std::string> items;
       if (cmd.for_cmd.has_in) {
         for (const Word& w : cmd.for_cmd.words) {
-          for (std::string& field : ExpandWord(w, ctx)) {
+          for (std::string& field : ExpandWord(w)) {
             items.push_back(std::move(field));
           }
         }
@@ -221,16 +221,15 @@ int Interpreter::ExecCommand(const Command& cmd, ExecContext ctx) {
       return code;
     }
     case CommandKind::kCase: {
-      std::vector<std::string> subject_fields = ExpandWord(cmd.case_cmd.subject, ctx);
+      std::vector<std::string> subject_fields = ExpandWord(cmd.case_cmd.subject);
       std::string subject = Join(subject_fields, " ");
       for (const syntax::CaseItem& item : cmd.case_cmd.items) {
         for (const Word& pat : item.patterns) {
           // Patterns expand without glob expansion; glob chars stay pattern
           // characters.
-          std::string pattern = ExpandParts(pat.parts, ctx, /*in_quotes=*/false);
+          std::string pattern = ExpandParts(pat.parts);
           if (fs::GlobMatch(pattern, subject)) {
-            last_exit_ =
-                item.body != nullptr ? ExecCommand(*item.body, std::move(ctx)) : 0;
+            last_exit_ = item.body != nullptr ? ExecCommand(*item.body, ctx) : 0;
             return last_exit_;
           }
         }
@@ -268,32 +267,30 @@ int Interpreter::ExecList(const Command& cmd, ExecContext ctx) {
 }
 
 int Interpreter::ExecPipeline(const Command& cmd, ExecContext ctx) {
-  std::string data = ctx.stdin_data;
+  std::string data;  // The previous stage's output, moved on as the next stdin.
   int code = 0;
   for (size_t i = 0; i < cmd.pipeline.commands.size(); ++i) {
     if (aborted_ || exited_) {
       break;
     }
     ExecContext stage_ctx;
-    stage_ctx.stdin_data = data;
+    stage_ctx.stdin_data = i == 0 ? ctx.stdin_data : std::string_view(data);
     std::string stage_out;
     bool last = i + 1 == cmd.pipeline.commands.size();
     stage_ctx.out = &stage_out;
-    code = ExecCommand(*cmd.pipeline.commands[i], std::move(stage_ctx));
-    // Monitor hook: every line crossing this pipe boundary.
-    if (pipe_line_hook_ && !last) {
-      for (const std::string& line : SplitLines(stage_out)) {
-        std::string reason;
-        if (!pipe_line_hook_(static_cast<int>(i), line, &reason)) {
-          aborted_ = true;
-          abort_reason_ = reason;
-          last_exit_ = 1;
-          return 1;
-        }
+    code = ExecCommand(*cmd.pipeline.commands[i], stage_ctx);
+    // Monitor hook: everything crossing this pipe boundary, in one call.
+    if (pipe_boundary_hook_ && !last) {
+      std::string reason;
+      if (!pipe_boundary_hook_(static_cast<int>(i), stage_out, &reason)) {
+        aborted_ = true;
+        abort_reason_ = reason;
+        last_exit_ = 1;
+        return 1;
       }
     }
     if (last) {
-      Emit(ctx, stage_out);
+      Emit(ctx, std::move(stage_out));
     } else {
       data = std::move(stage_out);
     }
@@ -335,7 +332,7 @@ std::string Interpreter::LookupVar(const std::string& name) const {
   return it == vars_.end() ? "" : it->second;
 }
 
-std::string Interpreter::ExpandParam(const WordPart& part, ExecContext& ctx) {
+std::string Interpreter::ExpandParam(const WordPart& part) {
   std::string value = LookupVar(part.param_name);
   bool is_set = vars_.count(part.param_name) > 0 ||
                 part.param_name == "?" || part.param_name == "#" || part.param_name == "0" ||
@@ -346,9 +343,7 @@ std::string Interpreter::ExpandParam(const WordPart& part, ExecContext& ctx) {
                      options_.args.size() &&
                  std::atoi(part.param_name.c_str()) >= 1);
   auto arg = [&]() {
-    return part.param_arg != nullptr
-               ? ExpandParts(part.param_arg->parts, ctx, /*in_quotes=*/false)
-               : std::string();
+    return part.param_arg != nullptr ? ExpandParts(part.param_arg->parts) : std::string();
   };
   bool null_or_unset = !is_set || (part.param_colon && value.empty());
   switch (part.param_op) {
@@ -468,8 +463,7 @@ long Interpreter::EvalArith(const std::string& expr) {
   return p.Expr();
 }
 
-std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecContext& ctx,
-                                     bool in_quotes) {
+std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts) {
   std::string out;
   for (const WordPart& p : parts) {
     switch (p.kind) {
@@ -478,21 +472,20 @@ std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecCon
         out += p.text;
         break;
       case WordPartKind::kDoubleQuoted:
-        out += ExpandParts(p.children, ctx, /*in_quotes=*/true);
+        out += ExpandParts(p.children);
         break;
       case WordPartKind::kParam:
-        out += ExpandParam(p, ctx);
+        out += ExpandParam(p);
         break;
       case WordPartKind::kCommandSub: {
         std::string captured;
         ExecContext sub_ctx;
-        sub_ctx.stdin_data = "";
         sub_ctx.out = &captured;
         if (p.command != nullptr) {
           // Substitutions run in a subshell.
           std::map<std::string, std::string> saved_vars = vars_;
           std::string saved_cwd = fs_->cwd();
-          last_exit_ = ExecProgram(*p.command, std::move(sub_ctx));
+          last_exit_ = ExecProgram(*p.command, sub_ctx);
           vars_ = std::move(saved_vars);
           fs_->ChangeDir(saved_cwd);
           exited_ = false;
@@ -507,10 +500,10 @@ std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecCon
         out += std::to_string(EvalArith(p.text));
         break;
       case WordPartKind::kGlobStar:
-        out += in_quotes ? "*" : "*";
+        out += '*';
         break;
       case WordPartKind::kGlobQuestion:
-        out += "?";
+        out += '?';
         break;
       case WordPartKind::kGlobClass:
         out += "[" + p.text + "]";
@@ -523,7 +516,7 @@ std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts, ExecCon
   return out;
 }
 
-std::vector<std::string> Interpreter::ExpandWord(const Word& word, ExecContext& ctx) {
+std::vector<std::string> Interpreter::ExpandWord(const Word& word) {
   // Track which expansion produced which byte so field splitting and glob
   // expansion only apply to unquoted dynamic content. A simplified model:
   // expand to text, then (a) split on whitespace if the word contains an
@@ -541,7 +534,7 @@ std::vector<std::string> Interpreter::ExpandWord(const Word& word, ExecContext& 
       has_unquoted_glob = true;
     }
   }
-  std::string text = ExpandParts(word.parts, ctx, /*in_quotes=*/false);
+  std::string text = ExpandParts(word.parts);
 
   std::vector<std::string> fields;
   if (has_unquoted_dynamic) {
@@ -660,8 +653,7 @@ int Interpreter::RunTestBuiltin(const std::vector<std::string>& args) {
 int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   // Assignments.
   for (const syntax::Assignment& a : cmd.simple.assignments) {
-    ExecContext actx = ctx;
-    vars_[a.name] = ExpandParts(a.value.parts, actx, /*in_quotes=*/false);
+    vars_[a.name] = ExpandParts(a.value.parts);
     if (exited_ || aborted_) {
       return last_exit_;
     }
@@ -669,7 +661,7 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   // Argv.
   std::vector<std::string> argv;
   for (const Word& w : cmd.simple.words) {
-    for (std::string& f : ExpandWord(w, ctx)) {
+    for (std::string& f : ExpandWord(w)) {
       argv.push_back(std::move(f));
     }
     if (exited_ || aborted_) {
@@ -684,12 +676,12 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   }
 
   // Redirections: input first, then output capture setup.
-  std::string stdin_data = ctx.stdin_data;
+  std::string_view stdin_data = ctx.stdin_data;
+  std::string redirected;  // Owns a `<` file's content while stdin views it.
   std::string redirect_out_path;
   bool redirect_append = false;
   for (const syntax::Redirect& r : cmd.redirects) {
-    ExecContext rctx = ctx;
-    std::vector<std::string> targets = ExpandWord(r.target, rctx);
+    std::vector<std::string> targets = ExpandWord(r.target);
     std::string target = targets.empty() ? "" : targets[0];
     switch (r.op) {
       case syntax::RedirOp::kIn: {
@@ -699,7 +691,8 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
           last_exit_ = 1;
           return 1;
         }
-        stdin_data = *content;
+        redirected = std::move(*content);
+        stdin_data = redirected;
         break;
       }
       case syntax::RedirOp::kHereDoc:
@@ -726,7 +719,6 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
 
   const std::string& name = argv[0];
   int code = 0;
-  std::string captured;
 
   // Builtins that touch interpreter state.
   if (auto fn = functions_.find(name); fn != functions_.end()) {
@@ -777,13 +769,12 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
     return 0;
   }
   if (name == "read") {
-    std::vector<std::string> lines = SplitLines(stdin_data);
-    if (lines.empty()) {
+    if (stdin_data.empty()) {
       last_exit_ = 1;
       return 1;
     }
     if (argv.size() > 1) {
-      vars_[argv[1]] = lines[0];
+      vars_[argv[1]] = std::string(stdin_data.substr(0, stdin_data.find('\n')));
     }
     last_exit_ = 0;
     return 0;
@@ -847,9 +838,8 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
       code = 1;
     }
   } else {
-    Emit(ctx, run.out);
+    Emit(ctx, std::move(run.out));
   }
-  (void)captured;
   last_exit_ = code;
   return code;
 }

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/commands.h"
@@ -48,24 +49,30 @@ class Interpreter {
   // dangerous action").
   using CommandHook =
       std::function<bool(const std::vector<std::string>& argv, std::string* abort_reason)>;
-  // Called for each line crossing a pipe boundary: (stage_index, line).
-  // Returning false aborts with a stream-type violation.
-  using LineHook = std::function<bool(int stage, const std::string& line,
-                                      std::string* abort_reason)>;
+  // Called once per pipe boundary with everything the producing stage wrote:
+  // (stage_index, output). Returning false aborts with a stream-type
+  // violation.
+  using BoundaryHook = std::function<bool(int stage, std::string_view output,
+                                          std::string* abort_reason)>;
 
   Interpreter(fs::FileSystem* fs, InterpOptions options);
 
   void set_command_hook(CommandHook hook) { command_hook_ = std::move(hook); }
-  void set_pipe_line_hook(LineHook hook) { pipe_line_hook_ = std::move(hook); }
+  void set_pipe_boundary_hook(BoundaryHook hook) { pipe_boundary_hook_ = std::move(hook); }
 
+  // Starts a fresh interposition trace: afterwards fs->trace() holds exactly
+  // this run's file-system interactions, so a file system shared by many
+  // runs does not grow with their number.
   InterpResult Run(const syntax::Program& program);
 
   // Variable store access (for tests and the verify tool).
   const std::map<std::string, std::string>& vars() const { return vars_; }
 
  private:
+  // Cheap to copy: stdin is a view of data owned up the call chain (the
+  // options, a pipeline's previous stage, a redirect or a heredoc body).
   struct ExecContext {
-    std::string stdin_data;
+    std::string_view stdin_data;
     std::string* out = nullptr;  // Capture target (pipes/substitutions).
   };
 
@@ -76,15 +83,14 @@ class Interpreter {
   int ExecList(const syntax::Command& cmd, ExecContext ctx);
 
   // Expansion: a word yields zero or more fields.
-  std::vector<std::string> ExpandWord(const syntax::Word& word, ExecContext& ctx);
-  std::string ExpandParts(const std::vector<syntax::WordPart>& parts, ExecContext& ctx,
-                          bool in_quotes);
-  std::string ExpandParam(const syntax::WordPart& part, ExecContext& ctx);
+  std::vector<std::string> ExpandWord(const syntax::Word& word);
+  std::string ExpandParts(const std::vector<syntax::WordPart>& parts);
+  std::string ExpandParam(const syntax::WordPart& part);
   std::string LookupVar(const std::string& name) const;
   long EvalArith(const std::string& expr);
 
   int RunTestBuiltin(const std::vector<std::string>& args);
-  void Emit(ExecContext& ctx, const std::string& text);
+  void Emit(const ExecContext& ctx, std::string text);
   void EmitErr(const std::string& text);
 
   // Runs the command hook (if any) with guard-check latency recorded.
@@ -95,7 +101,7 @@ class Interpreter {
   std::map<std::string, std::string> vars_;
   std::map<std::string, const syntax::Command*> functions_;
   CommandHook command_hook_;
-  LineHook pipe_line_hook_;
+  BoundaryHook pipe_boundary_hook_;
   // Cached instruments (null when options_.metrics is null).
   obs::Counter* commands_counter_ = nullptr;
   obs::Counter* guard_blocks_counter_ = nullptr;

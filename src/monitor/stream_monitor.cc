@@ -45,27 +45,45 @@ MonitoredRun StreamMonitor::Run(const syntax::Program& program, fs::FileSystem* 
   StreamViolation event;
   bool violated = false;
   size_t lines_checked = 0;
-  interp.set_pipe_line_hook([&](int stage, const std::string& line, std::string* reason) {
+  // One pass over the stage's output: the boundary DFA restarts at each
+  // '\n', lines split as SplitLines splits them (no empty line after a final
+  // '\n'; an unterminated last line counts), and the first rejected line
+  // stops the scan.
+  interp.set_pipe_boundary_hook([&](int stage, std::string_view output, std::string* reason) {
     if (stage < 0 || static_cast<size_t>(stage) >= boundary_expect.size() ||
         !boundary_expect[static_cast<size_t>(stage)].has_value()) {
       return true;
     }
-    ++lines_checked;
     const regex::Regex& expected = *boundary_expect[static_cast<size_t>(stage)];
-    if (expected.Matches(line)) {
-      return true;
+    const regex::Dfa& dfa = expected.dfa();
+    size_t start = 0;
+    while (start < output.size()) {
+      size_t end = output.find('\n', start);
+      if (end == std::string_view::npos) {
+        end = output.size();
+      }
+      ++lines_checked;
+      int state = dfa.StartState();
+      for (size_t i = start; i < end; ++i) {
+        state = dfa.Step(state, static_cast<unsigned char>(output[i]));
+      }
+      if (!dfa.IsAccepting(state)) {
+        std::string_view line = output.substr(start, end - start);
+        violated = true;
+        event.boundary = stage;
+        event.line = std::string(line);
+        event.expected = expected.pattern();
+        event.producer = stage_names.empty() ? "" : stage_names[static_cast<size_t>(stage)];
+        event.consumer = static_cast<size_t>(stage + 1) < stage_names.size()
+                             ? stage_names[static_cast<size_t>(stage) + 1]
+                             : "";
+        *reason = "stream type violation at pipe boundary " + std::to_string(stage) +
+                  ": line '" + event.line + "' ∉ " + expected.pattern();
+        return false;
+      }
+      start = end + 1;
     }
-    violated = true;
-    event.boundary = stage;
-    event.line = line;
-    event.expected = expected.pattern();
-    event.producer = stage_names.empty() ? "" : stage_names[static_cast<size_t>(stage)];
-    event.consumer = static_cast<size_t>(stage + 1) < stage_names.size()
-                         ? stage_names[static_cast<size_t>(stage) + 1]
-                         : "";
-    *reason = "stream type violation at pipe boundary " + std::to_string(stage) + ": line '" +
-              line + "' ∉ " + expected.pattern();
-    return false;
+    return true;
   });
 
   run.result = interp.Run(program);

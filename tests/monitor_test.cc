@@ -3,7 +3,9 @@
 #include "monitor/guard.h"
 #include "monitor/interp.h"
 #include "monitor/stream_monitor.h"
+#include "stream/pipeline.h"
 #include "syntax/parser.h"
+#include "util/strings.h"
 
 namespace sash::monitor {
 namespace {
@@ -40,6 +42,20 @@ TEST(Interp, PipelinesCarryData) {
   fs::FileSystem fs;
   InterpResult r = RunScript(fs, "echo 'b\na\nc' | sort | head -n1\n");
   EXPECT_EQ(r.out, "a\n");
+}
+
+TEST(Interp, RunKeepsOnlyItsOwnTrace) {
+  fs::FileSystem fs;
+  ASSERT_TRUE(fs.WriteFile("/data.csv", "b\na\n").ok());
+  ASSERT_FALSE(fs.trace().empty());
+  const syntax::Program p = Parsed("cat /data.csv | sort\n");
+  for (int i = 0; i < 3; ++i) {
+    Interpreter interp(&fs, InterpOptions{});
+    EXPECT_EQ(interp.Run(p).out, "a\nb\n");
+    ASSERT_EQ(fs.trace().size(), 1u) << "run " << i;
+    EXPECT_EQ(fs.trace()[0].op, fs::TraceOp::kRead);
+    EXPECT_EQ(fs.trace()[0].path, "/data.csv");
+  }
 }
 
 TEST(Interp, ControlFlow) {
@@ -201,6 +217,120 @@ TEST(StreamMonitor, OverheadIsMeasurable) {
   MonitoredRun run = monitor.Run(p, &fs, InterpOptions{});
   EXPECT_FALSE(run.violation);
   EXPECT_EQ(run.lines_checked, 100u);
+}
+
+// The one-pass boundary check must reproduce the per-line semantics:
+// SplitLines the producer's output, match each line against the boundary's
+// type in order, and stop at the first rejected line.
+struct PerLineVerdict {
+  bool violation = false;
+  std::string line;
+  size_t checked = 0;
+};
+
+PerLineVerdict CheckPerLine(const regex::Regex& expected, const std::string& output) {
+  PerLineVerdict v;
+  for (const std::string& line : SplitLines(output)) {
+    ++v.checked;
+    if (!expected.Matches(line)) {
+      v.violation = true;
+      v.line = line;
+      break;
+    }
+  }
+  return v;
+}
+
+// Runs a two-stage pipeline under full monitoring and compares the boundary
+// verdict with the per-line reference over the producer's output.
+MonitoredRun ExpectBoundaryMatchesPerLine(const std::string& pipeline,
+                                          const std::string& producer_out, fs::FileSystem& fs,
+                                          InterpOptions options = {}) {
+  SCOPED_TRACE(pipeline);
+  syntax::Program p = Parsed(pipeline);
+  stream::PipelineReport report = stream::PipelineChecker().Check(*p.body);
+  EXPECT_EQ(report.stages.size(), 2u);
+  std::optional<regex::Regex> expected = report.stages[1].input_expect.has_value()
+                                             ? report.stages[1].input_expect
+                                             : report.stages[0].output_lang;
+  if (!expected.has_value()) {
+    ADD_FAILURE() << "no type at the boundary";
+    return {};
+  }
+  PerLineVerdict want = CheckPerLine(*expected, producer_out);
+
+  MonitorPolicy all;
+  all.monitor_all_boundaries = true;
+  StreamMonitor monitor(rtypes::TypeLibrary::Default(), all);
+  MonitoredRun run = monitor.Run(p, &fs, std::move(options));
+  EXPECT_EQ(run.violation, want.violation);
+  EXPECT_EQ(run.lines_checked, want.checked);
+  if (!want.violation) {
+    EXPECT_EQ(run.event.boundary, -1);
+    EXPECT_EQ(run.result.err.find("sash-monitor:"), std::string::npos);
+    return run;
+  }
+  EXPECT_EQ(run.event.boundary, 0);
+  EXPECT_EQ(run.event.line, want.line);
+  EXPECT_EQ(run.event.expected, expected->pattern());
+  EXPECT_EQ(run.result.exit_code, 1);
+  EXPECT_TRUE(run.result.out.empty());  // The consumer never ran.
+  std::string reason = "sash-monitor: stream type violation at pipe boundary 0: line '" +
+                       want.line + "' ∉ " + expected->pattern() + "\n";
+  EXPECT_EQ(run.result.err, reason);
+  return run;
+}
+
+TEST(StreamMonitor, BoundaryCheckMatchesPerLineSemantics) {
+  struct Case {
+    std::string output;
+    std::string bad_line;  // Empty: no violation.
+    size_t checked;
+  };
+  const std::vector<Case> cases = {
+      {"x1\n2\n3\n", "x1", 1},       // Violation on the first line.
+      {"1\n2\nbad\n3\n", "bad", 3},  // Mid-buffer.
+      {"1\n2\nbad", "bad", 3},       // On an unterminated last line.
+      {"1\n2\n3", "", 3},            // Clean; the unterminated last line counts.
+      {"1\n\n\n2\n", "", 4},         // Blank lines are within sort -n's bound.
+      {"", "", 0},                    // Empty stage output: 0 lines checked.
+      {"\n", "", 1},                  // One empty line.
+  };
+  for (const Case& c : cases) {
+    fs::FileSystem fs;
+    fs.WriteFile("/data", c.output);
+    MonitoredRun run = ExpectBoundaryMatchesPerLine("cat /data | sort -n\n", c.output, fs);
+    EXPECT_EQ(run.violation, !c.bad_line.empty()) << c.output;
+    EXPECT_EQ(run.event.line, c.bad_line) << c.output;
+    EXPECT_EQ(run.lines_checked, c.checked) << c.output;
+  }
+}
+
+TEST(StreamMonitor, BoundaryCheckStopsAtAnEmptyLineMidBuffer) {
+  // lsbline rejects the empty line a multi-line Description value emits.
+  fs::FileSystem fs;
+  InterpOptions options;
+  options.world.description = "Debian\n";
+  exec::RunResult lsb = exec::RunCommand(fs, {"lsb_release", "-a"}, "", options.world);
+  ASSERT_NE(lsb.out.find("\n\n"), std::string::npos);
+  MonitoredRun run = ExpectBoundaryMatchesPerLine("lsb_release -a | cat\n", lsb.out, fs, options);
+  EXPECT_TRUE(run.violation);
+  EXPECT_EQ(run.event.line, "");
+  EXPECT_EQ(run.lines_checked, 3u);  // Distributor ID, Description, then the empty line.
+}
+
+TEST(StreamMonitor, EmptyStageOutputChecksNothing) {
+  fs::FileSystem fs;
+  fs.WriteFile("/data", "");
+  MonitorPolicy all;
+  all.monitor_all_boundaries = true;
+  StreamMonitor monitor(rtypes::TypeLibrary::Default(), all);
+  MonitoredRun run = monitor.Run(Parsed("cat /data | sort -n | uniq\n"), &fs, InterpOptions{});
+  EXPECT_FALSE(run.violation);
+  EXPECT_EQ(run.boundaries_monitored, 2u);
+  EXPECT_EQ(run.lines_checked, 0u);
+  EXPECT_EQ(run.result.exit_code, 0);
+  EXPECT_TRUE(run.result.out.empty());
 }
 
 // ---------- the effect guard / verify ----------
