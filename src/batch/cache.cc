@@ -139,15 +139,6 @@ std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOpt
   return h.HexDigest();
 }
 
-std::string MineKey(std::string_view command, std::string_view man_text) {
-  util::Sha256 h;
-  Feed(&h, "mine");
-  Feed(&h, core::kVersion);
-  Feed(&h, command);
-  Feed(&h, man_text);
-  return h.HexDigest();
-}
-
 std::string EncodeAnalysisEntry(std::string_view /*key*/, const AnalysisEntry& entry) {
   // The key is the entry's file name; the header does not repeat it.
   const std::array<char, 64> checksum = EntryChecksum(entry);

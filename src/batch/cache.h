@@ -1,13 +1,12 @@
 // The on-disk incremental analysis cache — the paper's §4 JIT↔AOT loop made
-// concrete. Results computed ahead of time (an analysis report, a mined
-// command spec) are stored content-addressed so an invocation-time (JIT)
-// lookup costs one hash plus one read, and re-analysis happens only when
-// something the result actually depends on changed.
+// concrete. An analysis report computed ahead of time is stored
+// content-addressed so an invocation-time (JIT) lookup costs one hash plus
+// one read, and re-analysis happens only when something the result actually
+// depends on changed.
 //
-// Key definition (all SHA-256, hex):
-//   analysis entry: H(kind="analysis" ‖ sash version ‖ options fingerprint ‖ annotations ‖
-//                     spec-corpus fingerprint ‖ script content)
-//   mining entry:   H(kind="mine" ‖ sash version ‖ command name ‖ man text)
+// Key definition (SHA-256, hex):
+//   H(kind="analysis" ‖ sash version ‖ options fingerprint ‖ annotations ‖
+//     spec-corpus fingerprint ‖ script content)
 // so touching the script, the spec corpus, the analysis flags, or upgrading
 // sash each invalidate exactly the affected entries. Entries are immutable
 // files named <key>.json under <root>/<kind>/ (the name predates the v2
@@ -29,8 +28,6 @@
 
 namespace sash::batch {
 
-// Schema tag of mining cache entries (JSON documents).
-inline constexpr char kMineCacheSchema[] = "sash-cache-v1";
 // Schema tag of analysis cache entries: the first word of their header line.
 inline constexpr char kAnalysisCacheSchema[] = "sash-cache-v2";
 
@@ -52,9 +49,6 @@ std::string OptionsFingerprint(const core::AnalyzerOptions& options);
 // `annotations_text` is the external .sasht input ("" when none).
 std::string AnalysisKey(std::string_view script_content, const core::AnalyzerOptions& options,
                         std::string_view annotations_text = {});
-
-// Cache key for one mined command (content = its man-page text).
-std::string MineKey(std::string_view command, std::string_view man_text);
 
 // One decoded analysis cache entry: everything a warm run needs to reproduce
 // the cold run's output byte-for-byte without re-analyzing.
@@ -97,7 +91,7 @@ class Cache {
 
   const std::filesystem::path& root() const { return root_; }
 
-  // Reads the entry for `key` under `kind` ("analysis", "mine"); nullopt on
+  // Reads the entry for `key` under `kind` (e.g. "analysis"); nullopt on
   // miss or an unreadable/undecodable entry (counted as a miss).
   std::optional<std::string> Get(std::string_view kind, std::string_view key);
 

@@ -122,7 +122,6 @@ struct PatternStore {
 struct PatternCacheImpl {
   obs::ProfiledMutex mu{"regex.pattern_cache"};  // Writers (Store/Clear) only.
   std::atomic<PatternStore*> store;
-  std::atomic<bool> enabled{true};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
   // Every generation ever published, the live one last; guarded by mu. Old
@@ -142,9 +141,6 @@ PatternCacheImpl& pattern_cache() {
 
 std::optional<Regex> PatternCacheLookup(char domain, std::string_view pattern) {
   PatternCacheImpl& c = pattern_cache();
-  if (!c.enabled.load(std::memory_order_relaxed)) {
-    return std::nullopt;
-  }
   PatternStore& s = *c.store.load(std::memory_order_acquire);
   uint32_t v = s.Probe(domain, pattern, PatternStore::KeyHash(domain, pattern));
   if (v == 0) {
@@ -157,9 +153,6 @@ std::optional<Regex> PatternCacheLookup(char domain, std::string_view pattern) {
 
 void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex) {
   PatternCacheImpl& c = pattern_cache();
-  if (!c.enabled.load(std::memory_order_relaxed)) {
-    return;
-  }
   uint64_t hash = PatternStore::KeyHash(domain, pattern);
   std::lock_guard<obs::ProfiledMutex> lock(c.mu);
   // The live generation only changes under mu, which we hold.
@@ -198,12 +191,6 @@ void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex
 
 }  // namespace
 
-void PatternCache::SetEnabled(bool enabled) {
-  pattern_cache().enabled.store(enabled, std::memory_order_relaxed);
-}
-bool PatternCache::Enabled() {
-  return pattern_cache().enabled.load(std::memory_order_relaxed);
-}
 uint64_t PatternCache::Hits() {
   return pattern_cache().hits.load(std::memory_order_relaxed);
 }

@@ -26,8 +26,7 @@ namespace sash::regex {
 // distinct pattern is parsed once and determinized at most once per process.
 // Entries are immutable (a pattern IS its language), so there is no
 // invalidation: the cache only grows, capped at a fixed entry count after
-// which new patterns compile uncached. Disable (benchmarks A/B the cold
-// path) with SetEnabled(false).
+// which new patterns compile uncached.
 //
 // Concurrency: lookups are lock-free. Entries live in append-only slabs and
 // are reached through an open-addressed index published via release stores
@@ -39,8 +38,6 @@ namespace sash::regex {
 // after an expensive parse.
 class PatternCache {
  public:
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
   static uint64_t Hits();
   static uint64_t Misses();
   static size_t Size();

@@ -13,9 +13,9 @@
 
 #include "batch/cache.h"
 #include "batch/isolate.h"
-#include "batch/mine_cache.h"
 #include "core/analyzer.h"
 #include "core/version.h"
+#include "mining/pipeline.h"
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -737,9 +737,7 @@ RpcResponse Server::Execute(const RpcRequest& request, util::CancelToken* budget
       response.error = "mine requires a command";
       return response;
     }
-    batch::Cache* cache = cache_ != nullptr ? cache_.get() : nullptr;
-    mining::MiningOutcome outcome =
-        batch::CachedMineCommand(cache, request.command, options_.batch.obs);
+    mining::MiningOutcome outcome = mining::MineCommand(request.command, options_.batch.obs);
     response.status = kStatusOk;
     obs::JsonWriter w;
     w.BeginObject();

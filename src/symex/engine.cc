@@ -110,31 +110,24 @@ std::vector<std::string> AssignedNames(const Command& cmd) {
   return out;
 }
 
-// Exact value key for the legacy signature: concrete text or the language's
+// Exact value key for the state signature: concrete text or the language's
 // display pattern, domain-tagged (mirrors SymValue::Digest's separation).
 std::string ValueKey(const SymValue& v) {
   return v.is_concrete() ? "c:" + v.concrete() : "l:" + v.lang().pattern();
 }
 
-// The legacy rendered-string signature for merging indistinguishable states.
-// The hot path compares State::Digest() instead; this stays as the slow
-// ground truth for paranoid-merge cross-checks and the digest-vs-legacy
-// differential. Languages are keyed by their display pattern (matching the
-// digest), not by Describe(), whose >48-char sampling fallback could alias
-// distinct languages with identical samples.
-std::string StateSignature(const State& st, bool describe_rendering = false) {
-  // describe_rendering reproduces the pre-overhaul signature exactly —
-  // Describe() per value, sampling included — so the bench can measure the
-  // seed-commit merge cost. Everything else uses the ValueKey form.
-  auto key = [describe_rendering](const SymValue& v) {
-    return describe_rendering ? v.Describe() : ValueKey(v);
-  };
+// The rendered-string signature of a state: the slow ground truth that
+// paranoid merging cross-checks every digest merge against. Languages are
+// keyed by their display pattern (matching the digest), not by Describe(),
+// whose >48-char sampling fallback could alias distinct languages with
+// identical samples.
+std::string StateSignature(const State& st) {
   std::string sig;
   sig += st.terminated ? "T" : "A";
   sig += st.exit.known ? "k" + std::to_string(st.exit.code) : "u";
-  sig += "|cwd=" + key(st.cwd);
+  sig += "|cwd=" + ValueKey(st.cwd);
   for (const auto& [name, value] : st.vars()) {
-    sig += "|" + name.str() + "=" + key(value);
+    sig += "|" + name.str() + "=" + ValueKey(value);
     if (st.MaybeUnset(name)) {
       sig += "?";
     }
@@ -142,7 +135,7 @@ std::string StateSignature(const State& st, bool describe_rendering = false) {
   sig += "|fs:" + st.sfs.ToString();
   sig += "|out:" + std::to_string(st.stdout_lines.size());
   for (const SymValue& v : st.stdout_lines) {
-    sig += "," + key(v);
+    sig += "," + ValueKey(v);
   }
   return sig;
 }
@@ -306,43 +299,29 @@ std::vector<State> Evaluator::Control(std::vector<State> states) {
   if (options_.merge_identical_states && states.size() > 1) {
     std::vector<State> merged;
     merged.reserve(states.size());
-    if (options_.digest_merge) {
-      // Hot path: compare 64-bit digests, keep the first occurrence (same
-      // survivor rule as the legacy loop). Under paranoid merging, every
-      // digest hit is cross-checked against the legacy signature; a
-      // mismatch is a collision — counted, and the state kept separate.
-      // `merge_digests_[i]` is merged[i]'s digest; the live set is capped
-      // at max_states, so a linear scan of one reused vector beats hashing.
-      merge_digests_.clear();
-      for (State& s : states) {
-        uint64_t digest = s.Digest();
-        auto seen = std::find(merge_digests_.begin(), merge_digests_.end(), digest);
-        if (seen == merge_digests_.end()) {
-          merge_digests_.push_back(digest);
-          merged.push_back(std::move(s));
-          continue;
-        }
-        if (paranoid_merge_ &&
-            StateSignature(s) != StateSignature(merged[seen - merge_digests_.begin()])) {
-          ++stats_->digest_collisions;
-          merge_digests_.push_back(digest);
-          merged.push_back(std::move(s));
-          continue;
-        }
-        ++stats_->states_merged;
+    // Compare 64-bit digests and keep the first occurrence. Under paranoid
+    // merging, every digest hit is cross-checked against the rendered
+    // signature; a mismatch is a collision — counted, and the state kept
+    // separate. `merge_digests_[i]` is merged[i]'s digest; the live set is
+    // capped at max_states, so a linear scan of one reused vector beats
+    // hashing.
+    merge_digests_.clear();
+    for (State& s : states) {
+      uint64_t digest = s.Digest();
+      auto seen = std::find(merge_digests_.begin(), merge_digests_.end(), digest);
+      if (seen == merge_digests_.end()) {
+        merge_digests_.push_back(digest);
+        merged.push_back(std::move(s));
+        continue;
       }
-    } else {
-      std::map<std::string, size_t> seen;
-      for (State& s : states) {
-        std::string sig = StateSignature(s, options_.legacy_describe_signature);
-        auto it = seen.find(sig);
-        if (it == seen.end()) {
-          seen.emplace(std::move(sig), merged.size());
-          merged.push_back(std::move(s));
-        } else {
-          ++stats_->states_merged;
-        }
+      if (paranoid_merge_ &&
+          StateSignature(s) != StateSignature(merged[seen - merge_digests_.begin()])) {
+        ++stats_->digest_collisions;
+        merge_digests_.push_back(digest);
+        merged.push_back(std::move(s));
+        continue;
       }
+      ++stats_->states_merged;
     }
     states = std::move(merged);
   }
@@ -1190,7 +1169,7 @@ std::string EmitKey(const char* code, SourceRange range, Severity severity) {
 
 bool Evaluator::AlreadyEmitted(const char* code, SourceRange range,
                                Severity severity) const {
-  return options_.emit_dedup_early_out && emitted_.count(EmitKey(code, range, severity)) > 0;
+  return emitted_.count(EmitKey(code, range, severity)) > 0;
 }
 
 void Evaluator::Emit(Severity severity, const char* code, SourceRange range, std::string message,

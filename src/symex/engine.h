@@ -56,25 +56,12 @@ struct EngineOptions {
   util::CancelToken* cancel = nullptr;
 
   bool report_unset_vars = true;
-  // Merge states that become indistinguishable (prunes via concrete state).
+  // Merge states that become indistinguishable (prunes via concrete state),
+  // comparing their incremental 64-bit digests. Setting the
+  // SASH_PARANOID_MERGE environment variable (to anything but "0")
+  // cross-checks every merge against the rendered state signature and
+  // counts collisions instead of merging on them.
   bool merge_identical_states = true;
-  // Merge by the incremental 64-bit state digest (fast path). When false,
-  // fall back to the legacy rendered-string signature — kept so the bench
-  // can A/B the two and the differential tests can prove them equivalent.
-  bool digest_merge = true;
-  // Cross-check every digest merge against the legacy signature and count
-  // collisions instead of merging on them. Also enabled by setting the
-  // SASH_PARANOID_MERGE environment variable (to anything but "0").
-  bool paranoid_merge = false;
-  // With digest_merge off, render legacy signatures the way the seed commit
-  // did — Describe() per value rather than the cheaper pattern keys. Only
-  // the hot-path bench sets this, to reconstruct the pre-overhaul cost.
-  bool legacy_describe_signature = false;
-  // Skip re-deriving a diagnostic that was already emitted for the same
-  // (code, range, severity) — per-state witness/describe work is pure
-  // overhead for a duplicate. Off restores the pre-overhaul behavior
-  // (compute, then drop at emit time); kept only for bench A/B.
-  bool emit_dedup_early_out = true;
 };
 
 struct EngineStats {
@@ -87,8 +74,8 @@ struct EngineStats {
   int cancelled = 0;       // 1 when a cancel token cut the run short.
   int final_states = 0;
   int fs_ops = 0;  // Symbolic file-system mutations and assumptions applied.
-  // Digest-equal state pairs whose legacy signatures differed; only counted
-  // under paranoid merging (such pairs are kept separate, not merged).
+  // Digest-equal state pairs whose rendered signatures differed; only
+  // counted under paranoid merging (such pairs are kept separate, not merged).
   int digest_collisions = 0;
 
   // Mirrors every field into the registry under "symex.*" (counters, except

@@ -49,7 +49,7 @@ class Evaluator {
       : options_(options),
         sink_(sink),
         stats_(stats),
-        paranoid_merge_(options.paranoid_merge || ParanoidMergeFromEnv()) {}
+        paranoid_merge_(ParanoidMergeFromEnv()) {}
 
   State MakeInitialState() const;
 

@@ -1,7 +1,5 @@
 #include "symex/value.h"
 
-#include <atomic>
-
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -139,17 +137,8 @@ std::optional<std::string> SymValue::Witness() const {
   return lang().Witness();
 }
 
-namespace {
-std::atomic<bool> g_describe_cache_enabled{true};
-}  // namespace
-
-void SymValue::SetDescribeCacheEnabled(bool enabled) {
-  g_describe_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 std::string SymValue::Describe() const {
-  const bool cache = g_describe_cache_enabled.load(std::memory_order_relaxed);
-  if (cache && describe_cache_ != nullptr) {
+  if (describe_cache_ != nullptr) {
     return *describe_cache_;
   }
   std::string out;
@@ -174,9 +163,7 @@ std::string SymValue::Describe() const {
       }
     }
   }
-  if (cache) {
-    describe_cache_ = std::make_shared<const std::string>(out);
-  }
+  describe_cache_ = std::make_shared<const std::string>(out);
   return out;
 }
 

@@ -64,11 +64,6 @@ class SymValue {
   // "'text'" for concrete values, "⟨pattern⟩" for languages.
   std::string Describe() const;
 
-  // Process-wide switch for the Describe() memo (default on). Off restores
-  // the pre-overhaul recompute-every-call behavior; only the hot-path bench
-  // flips it, to measure what the cache buys.
-  static void SetDescribeCacheEnabled(bool enabled);
-
   // 64-bit content digest, domain-separated between the concrete and
   // language forms (concrete "a" never equals language /a/). For languages
   // it hashes the display pattern — a finer key than structural language

@@ -105,8 +105,6 @@ std::string_view FaultSiteName(FaultSite site) {
       return "cache.write";
     case FaultSite::kCacheRename:
       return "cache.rename";
-    case FaultSite::kSpecLoad:
-      return "spec.load";
     case FaultSite::kPoolTask:
       return "pool.task";
     case FaultSite::kAnalyzeFile:
@@ -198,9 +196,9 @@ bool FaultPlan::Parse(std::string_view text, FaultPlan* plan, std::string* error
 
 FaultPlan FaultPlan::DefaultChaos(uint64_t seed) {
   // Only sites the pipeline must absorb with byte-identical functional
-  // results: cache faults demote to misses or skipped writes, pool delays
-  // reorder nothing observable, spec corruption demotes to a mine-cache
-  // miss. analyze.file is deliberately absent — it changes outcomes.
+  // results: cache faults demote to misses or skipped writes, and pool
+  // delays reorder nothing observable. analyze.file is deliberately absent
+  // — it changes outcomes.
   FaultPlan plan;
   plan.seed = seed;
   auto rate = [&plan](FaultSite site, FaultAction action, int32_t per_mille,
@@ -217,7 +215,6 @@ FaultPlan FaultPlan::DefaultChaos(uint64_t seed) {
   rate(FaultSite::kCacheRead, FaultAction::kFail, 10);
   rate(FaultSite::kCacheWrite, FaultAction::kFail, 15);
   rate(FaultSite::kCacheRename, FaultAction::kFail, 10);
-  rate(FaultSite::kSpecLoad, FaultAction::kCorrupt, 10);
   rate(FaultSite::kPoolTask, FaultAction::kDelay, 10, /*delay_ms=*/1);
   // Serve-path sites the request loop must absorb without changing any
   // functional result: a delayed dispatch is invisible, a dropped accept or

@@ -2,7 +2,7 @@
 // unmaintained failure paths; this harness makes the failure paths testable
 // by letting a seeded plan inject I/O errors, torn/truncated payloads, and
 // slow tasks at named hook points (the batch cache's read/write/rename path,
-// spec-corpus loading, the thread pool) without any real filesystem damage.
+// the thread pool, the resident server) without any real filesystem damage.
 //
 // A plan is a list of rules. Each rule names a site and decides, per
 // occurrence and fully deterministically (splitmix64 over seed × site ×
@@ -14,9 +14,9 @@
 //   analyze.file#3=fail;cache.read%100=corrupt   // rules separated by ';'
 //
 // Rule grammar:  site[~match][#nth][%per_mille][@delay_ms][=action]
-//   site:    cache.read | cache.write | cache.rename | spec.load |
-//            pool.task | analyze.file | serve.accept | serve.read |
-//            serve.write | serve.dispatch | client.connect
+//   site:    cache.read | cache.write | cache.rename | pool.task |
+//            analyze.file | serve.accept | serve.read | serve.write |
+//            serve.dispatch | client.connect
 //   ~match:  substring that the hook's detail string (usually a path) must
 //            contain; absent = any
 //   #nth:    fire only on the nth matching occurrence (1-based); absent and
@@ -45,7 +45,6 @@ enum class FaultSite : uint8_t {
   kCacheRead = 0,
   kCacheWrite,
   kCacheRename,
-  kSpecLoad,
   kPoolTask,
   kAnalyzeFile,
   // The resident server's request path (PR 7): every layer a torn client,
@@ -60,7 +59,7 @@ enum class FaultSite : uint8_t {
   kServeDispatch,
   kClientConnect,
 };
-inline constexpr int kNumFaultSites = 11;
+inline constexpr int kNumFaultSites = 10;
 
 std::string_view FaultSiteName(FaultSite site);
 

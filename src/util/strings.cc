@@ -153,7 +153,8 @@ bool ParseInt64(std::string_view s, int64_t* out) {
     }
     magnitude = magnitude * 10 + digit;
   }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
+  // Negate in unsigned arithmetic: -2^63 has no positive int64_t twin.
+  *out = negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
   return true;
 }
 

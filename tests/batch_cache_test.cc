@@ -13,10 +13,7 @@
 #include "batch/batch.h"
 #include "batch/cache.h"
 #include "batch/commit_queue.h"
-#include "batch/mine_cache.h"
-#include "batch/spec_io.h"
 #include "json_normalize.h"
-#include "mining/man_corpus.h"
 #include "util/faultinject.h"
 #include "util/file.h"
 #include "util/sha256.h"
@@ -464,36 +461,6 @@ TEST_F(BatchCacheTest, AnalysisEntryRoundTripsVerbatim) {
     EXPECT_EQ(FileStatusFromName(FileStatusName(status)), status);
   }
   EXPECT_EQ(FileStatusFromName("bogus"), FileStatus::kFailed);
-}
-
-TEST_F(BatchCacheTest, MiningOutcomeRoundTripsAndCaches) {
-  Cache cache(CacheDir());
-  mining::MiningOutcome first = CachedMineCommand(&cache, "rm");
-  ASSERT_TRUE(first.ok);
-  ASSERT_GT(first.probes, 0);
-
-  // Encode/decode round trip preserves the artifact.
-  std::string payload = EncodeMiningOutcome("k", first);
-  std::optional<mining::MiningOutcome> decoded = DecodeMiningOutcome(payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->command, first.command);
-  EXPECT_EQ(decoded->probes, first.probes);
-  EXPECT_EQ(decoded->cases, first.cases);
-  EXPECT_EQ(decoded->spec.cases, first.spec.cases);
-  EXPECT_EQ(decoded->spec.ToString(), first.spec.ToString());
-  EXPECT_EQ(decoded->syntax.UsageString(), first.syntax.UsageString());
-  EXPECT_EQ(decoded->validation.configurations, first.validation.configurations);
-  EXPECT_EQ(decoded->validation.agreements, first.validation.agreements);
-
-  // The second mine is served from disk and behaves identically.
-  mining::MiningOutcome second = CachedMineCommand(&cache, "rm");
-  ASSERT_TRUE(second.ok);
-  EXPECT_EQ(second.spec.ToString(), first.spec.ToString());
-  EXPECT_EQ(second.probes, first.probes);
-
-  // Unknown commands fail without touching the cache.
-  mining::MiningOutcome unknown = CachedMineCommand(&cache, "no_such_tool");
-  EXPECT_FALSE(unknown.ok);
 }
 
 TEST_F(BatchCacheTest, Sha256KnownAnswers) {

@@ -1,4 +1,4 @@
-#include "regex/derivative.h"
+#include "derivative.h"
 
 namespace sash::regex {
 

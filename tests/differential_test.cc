@@ -6,9 +6,9 @@
 //  (3) DFA matching and Brzozowski-derivative matching must agree.
 #include <gtest/gtest.h>
 
+#include "derivative.h"
 #include "fs/glob.h"
 #include "monitor/interp.h"
-#include "regex/derivative.h"
 #include "regex/glob.h"
 #include "regex/parser.h"
 #include "symex/engine.h"

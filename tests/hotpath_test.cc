@@ -206,13 +206,7 @@ TEST(SymbolicFsDigestTest, IncrementalMatchesContent) {
 
 class PatternCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    regex::PatternCache::Clear();
-    regex::PatternCache::SetEnabled(true);
-  }
-  void TearDown() override {
-    regex::PatternCache::SetEnabled(true);
-  }
+  void SetUp() override { regex::PatternCache::Clear(); }
 };
 
 TEST_F(PatternCacheTest, HitsAndMissesAreCounted) {
@@ -249,17 +243,6 @@ TEST_F(PatternCacheTest, DomainsDoNotAlias) {
   ASSERT_TRUE(full2.has_value());
   EXPECT_FALSE(full2->Matches("ax"));
   EXPECT_TRUE(glob2.Matches("ax"));
-}
-
-TEST_F(PatternCacheTest, DisabledCacheStillCompiles) {
-  regex::PatternCache::SetEnabled(false);
-  uint64_t hits0 = regex::PatternCache::Hits();
-  auto a = regex::Regex::FromPattern("hotpath_disabled");
-  auto b = regex::Regex::FromPattern("hotpath_disabled");
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(regex::PatternCache::Hits(), hits0);
-  EXPECT_TRUE(b->Matches("hotpath_disabled"));
 }
 
 TEST(SpecLibraryTest, DuplicateRegistrationAborts) {

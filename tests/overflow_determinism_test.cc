@@ -1,9 +1,9 @@
 // Overflow-drop determinism: when the state cap overflows, the engine sorts
 // the frontier by state digest before dropping the tail, so WHICH states
 // survive is a function of the states themselves — not of container order,
-// merge strategy, or how many worker threads the batch driver used. The
-// regression under test: -j and merge flags must not change the surviving
-// diagnostics.
+// whether states were merged, or how many worker threads the batch driver
+// used. The regression under test: -j and merging must not change the
+// surviving diagnostics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -44,11 +44,9 @@ std::string FindingsJson(const core::AnalysisReport& report) {
   return w.Take();
 }
 
-std::string AnalyzeFindings(const std::string& script, bool merge, bool digest,
-                            int max_states) {
+std::string AnalyzeFindings(const std::string& script, bool merge, int max_states) {
   core::AnalyzerOptions options;
   options.engine.merge_identical_states = merge;
-  options.engine.digest_merge = digest;
   options.engine.max_states = max_states;
   core::Analyzer analyzer(options);
   core::AnalysisReport report = analyzer.AnalyzeSource(script);
@@ -59,17 +57,15 @@ std::string AnalyzeFindings(const std::string& script, bool merge, bool digest,
 
 TEST(OverflowDeterminismTest, MergeFlagsDoNotChangeSurvivingDiagnostics) {
   std::string script = BranchyScript();
-  std::string reference = AnalyzeFindings(script, /*merge=*/true, /*digest=*/true, 16);
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/true, /*digest=*/false, 16));
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*digest=*/true, 16));
-  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, /*digest=*/false, 16));
+  std::string reference = AnalyzeFindings(script, /*merge=*/true, 16);
+  EXPECT_EQ(reference, AnalyzeFindings(script, /*merge=*/false, 16));
 }
 
 TEST(OverflowDeterminismTest, RepeatedRunsAreIdentical) {
   std::string script = BranchyScript();
-  std::string reference = AnalyzeFindings(script, true, true, 16);
+  std::string reference = AnalyzeFindings(script, true, 16);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(reference, AnalyzeFindings(script, true, true, 16));
+    EXPECT_EQ(reference, AnalyzeFindings(script, true, 16));
   }
 }
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "regex/derivative.h"
+#include "derivative.h"
 #include "regex/parser.h"
 #include "regex/regex.h"
 

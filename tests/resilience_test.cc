@@ -506,7 +506,7 @@ TEST_F(ResilienceTest, ChaosSoakKeepsResultsByteIdentical) {
   // rates) so a single soak pass exercises every failure path for sure.
   const std::string plan =
       "cache.read%300=torn;cache.read%300=corrupt;cache.read%200=fail;"
-      "cache.write%300=fail;cache.rename%200=fail;spec.load%300=corrupt;"
+      "cache.write%300=fail;cache.rename%200=fail;"
       "pool.task%200@1=delay";
   for (uint64_t seed : {1u, 2u, 3u}) {
     ScopedFaults faults(MustParse(plan, seed));

@@ -7,7 +7,6 @@
 #include <variant>
 
 #include "batch/batch.h"
-#include "batch/mine_cache.h"
 #include "core/analyzer.h"
 #include "core/version.h"
 #include "mining/pipeline.h"
@@ -53,7 +52,7 @@ int Usage() {
                "  lint <script.sh>\n"
                "  run <script.sh> [args...]\n"
                "  verify [--no-rw PATH]... [--no-read PATH]... <script.sh>\n"
-               "  mine [--no-cache] [--cache-dir DIR] [command]\n"
+               "  mine [command]\n"
                "  typeof '<pipeline>'\n"
                "  version\n"
                "exit codes: 0 clean, 1 findings (warnings or worse), 2 usage/IO error\n"
@@ -200,8 +199,7 @@ bool ParseFlags(const char* verb, const std::vector<std::string>& args,
 using sash::batch::BatchOptions;
 using sash::core::AnalyzerOptions;
 
-// -j/--jobs, --cache-dir and --no-cache: analyze, profile and serve. mine
-// takes the two cache flags without -j.
+// -j/--jobs, --cache-dir and --no-cache: analyze, profile and serve.
 constexpr Flag<BatchOptions> kJobsAndCacheFlags[] = {
     {.name = "--jobs", .field = &BatchOptions::jobs, .max = kMaxJobs, .alias = "-j"},
     {"--cache-dir", &BatchOptions::cache_dir},
@@ -596,20 +594,13 @@ int CmdVerify(const std::vector<std::string>& args) {
 }
 
 int CmdMine(const std::vector<std::string>& args) {
-  BatchOptions batch;
   std::vector<std::string> operands;
-  if (!ParseFlags("mine", args, &operands,
-                  FlagGroup<BatchOptions>{std::span(kJobsAndCacheFlags).subspan(1), &batch})) {
+  if (!ParseFlags("mine", args, &operands)) {
     return 2;
   }
   const std::string command = operands.empty() ? std::string() : operands.back();
-  std::optional<sash::batch::Cache> cache;
-  if (batch.use_cache) {
-    cache.emplace(batch.cache_dir);
-  }
-  sash::batch::Cache* cache_ptr = cache.has_value() ? &*cache : nullptr;
   if (!command.empty()) {
-    sash::mining::MiningOutcome o = sash::batch::CachedMineCommand(cache_ptr, command);
+    sash::mining::MiningOutcome o = sash::mining::MineCommand(command);
     if (!o.ok) {
       std::fprintf(stderr, "sash mine: %s\n", o.error.c_str());
       return 1;
@@ -618,7 +609,7 @@ int CmdMine(const std::vector<std::string>& args) {
                 o.cases, 100.0 * o.validation.Agreement(), o.spec.ToString().c_str());
     return 0;
   }
-  for (const sash::mining::MiningOutcome& o : sash::batch::CachedMineAll(cache_ptr)) {
+  for (const sash::mining::MiningOutcome& o : sash::mining::MineAll()) {
     std::printf("%-10s %s (%d probes, %d cases, %.1f%% agreement)\n", o.command.c_str(),
                 o.ok ? "ok" : o.error.c_str(), o.probes, o.cases,
                 100.0 * o.validation.Agreement());
