@@ -238,8 +238,7 @@ std::filesystem::path Cache::EntryPath(std::string_view kind, std::string_view k
 }
 
 std::optional<std::string> Cache::Get(std::string_view kind, std::string_view key) {
-  // File I/O is a span, not a lock wait: slow disk shows up on the
-  // timeline, never in the contention table.
+  // File I/O is a span: slow disk shows up on the timeline.
   obs::Span span(obs::EventJournal::Global(), "cache.read");
   std::filesystem::path path = EntryPath(kind, key);
   util::FaultDecision fault;

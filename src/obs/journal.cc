@@ -12,10 +12,6 @@ std::atomic<EventJournal*> EventJournal::global_{nullptr};
 
 std::string_view EventKindName(EventKind kind) {
   switch (kind) {
-    case EventKind::kLockWait:
-      return "lock_wait";
-    case EventKind::kLockSite:
-      return "lock_site";
     case EventKind::kTaskStart:
       return "task_start";
     case EventKind::kTaskStop:
@@ -69,7 +65,7 @@ EventJournal::EventJournal(size_t capacity)
 
 EventJournal::~EventJournal() {
   // Un-publish on destruction so a stale global pointer cannot dangle past
-  // the owner's scope (profile runs install/uninstall around the workload).
+  // the owner's scope (a Session installs it for the run, then destroys it).
   EventJournal* self = this;
   global_.compare_exchange_strong(self, nullptr, std::memory_order_acq_rel);
 }

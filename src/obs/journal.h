@@ -1,11 +1,11 @@
 // A bounded, lock-free ring-buffer event journal: the process's one
-// timeline. Producers (spans, analyzer phases, lock probes, thread-pool
-// workers, the RSS sampler) emit fixed-size events with a fetch_add and a
-// handful of relaxed stores; when the buffer wraps, the oldest events are
-// overwritten and counted as dropped. The journal is drained after the
-// workload quiesces and flushed as JSONL under the "sash-events-v1" schema
-// (`--journal`) or rendered as a Chrome trace and folded stacks
-// (`--trace-out`, `--folded`; see RenderTimeline in obs/profile.h).
+// timeline. Producers (spans, analyzer phases, thread-pool workers, the RSS
+// sampler) emit fixed-size events with a fetch_add and a handful of relaxed
+// stores; when the buffer wraps, the oldest events are overwritten and
+// counted as dropped. The journal is drained after the workload quiesces
+// and flushed as JSONL under the "sash-events-v1" schema (`--journal`) or
+// rendered as a Chrome trace and folded stacks (`--trace-out`, `--folded`;
+// see RenderTimeline in obs/profile.h).
 //
 // Event names must have static storage duration (string literals): the hot
 // path stores the pointer, never copies, never allocates.
@@ -14,8 +14,8 @@
 //   {"schema":"sash-events-v1","sash":"<version>","capacity":N,
 //    "emitted":N,"dropped":N}
 // and every following line is one event
-//   {"ev":"lock_wait","seq":12,"ts_us":345,"tid":2,"name":"intern.table",
-//    "a":125000,"b":0,"c":0,"d":0}
+//   {"ev":"phase","seq":12,"ts_us":345,"tid":2,"name":"parse",
+//    "a":125,"b":0,"c":0,"d":0}
 // Field meanings per kind are documented at EventKind. ValidateJsonl() is
 // the schema check used by tests, `sash_check_bench_json --journal`, and CI.
 #ifndef SASH_OBS_JOURNAL_H_
@@ -32,10 +32,7 @@
 namespace sash::obs {
 
 enum class EventKind : uint8_t {
-  kLockWait = 0,    // a=wait_ns on a contended acquisition of site `name`.
-  kLockSite,        // End-of-run site summary: a=wait_ns b=hold_ns
-                    // c=acquisitions d=contended.
-  kTaskStart,       // Pool worker picked up a task: a=worker index.
+  kTaskStart = 0,   // Pool worker picked up a task: a=worker index.
   kTaskStop,        // Task finished: a=worker index, b=task duration (us),
                     // measured from its task_start's ts_us.
   kSteal,           // a=thief worker index.
@@ -44,13 +41,13 @@ enum class EventKind : uint8_t {
   kPhase,           // Analyzer phase completed: name=phase, ts_us=its
                     // start, a=micros, b=nesting depth (as for kSpan).
   kCounter,         // Sampled registry counter: name, a=value.
-  kMark,            // Free-form annotation (profile start/stop, ...).
+  kMark,            // Free-form annotation (batch start, serve drain, ...).
   kSpan,            // Completed obs::Span: name, ts_us=its start,
                     // a=duration (us), b=nesting depth among the open
                     // spans and phases of its thread.
 };
 
-// Stable wire names ("lock_wait", "task_start", ...). Unknown kinds render
+// Stable wire names ("task_start", "phase", ...). Unknown kinds render
 // as "?" and fail validation.
 std::string_view EventKindName(EventKind kind);
 
@@ -108,8 +105,9 @@ class EventJournal {
   // readable problems; empty when conforming.
   static std::vector<std::string> ValidateJsonl(std::string_view text);
 
-  // The process-global journal the probe layer emits into (null = journaling
-  // off, one relaxed load per probe). Not owning.
+  // The process-global journal, for emitters with no Hooks in reach (the
+  // cache, the isolation supervisor); null = journaling off, one relaxed
+  // load per emission site. Not owning.
   static void SetGlobal(EventJournal* journal) {
     global_.store(journal, std::memory_order_release);
   }

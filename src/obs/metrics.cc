@@ -56,7 +56,7 @@ int64_t Histogram::PercentileUpperBound(double p) const {
 }
 
 Counter* Registry::counter(std::string_view name) {
-  std::lock_guard<ProfiledMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
@@ -65,7 +65,7 @@ Counter* Registry::counter(std::string_view name) {
 }
 
 Gauge* Registry::gauge(std::string_view name) {
-  std::lock_guard<ProfiledMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
@@ -74,7 +74,7 @@ Gauge* Registry::gauge(std::string_view name) {
 }
 
 Histogram* Registry::histogram(std::string_view name) {
-  std::lock_guard<ProfiledMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), std::make_unique<Histogram>()).first;
@@ -83,7 +83,7 @@ Histogram* Registry::histogram(std::string_view name) {
 }
 
 MetricsSnapshot Registry::Snapshot() const {
-  std::lock_guard<ProfiledMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace(name, c->value());

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/lockprobe.h"
 
 namespace sash::obs {
 
@@ -115,10 +114,9 @@ class Registry {
   std::string ToJson() const;
 
  private:
-  // Instrumented so `sash report` can prove (or disprove) that registry map
-  // lookups are not a contention point — hot paths are expected to hoist
-  // instrument handles instead of hitting this lock per operation.
-  mutable ProfiledMutex mu_{"obs.registry"};
+  // Guards the maps, not the instruments; hot paths hoist instrument handles
+  // instead of taking this lock per operation.
+  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

@@ -8,7 +8,6 @@
 
 #include "obs/journal.h"
 #include "obs/json.h"
-#include "obs/lockprobe.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
-#include <set>
 
 #include "obs/json.h"
-#include "obs/lockprobe.h"
 
 namespace sash::obs {
 
@@ -26,94 +23,6 @@ struct OpenFrame {
   std::string path;        // "a;b;c" up to and including this span.
   int64_t duration_us = 0;
   int64_t child_us = 0;    // Time covered by direct children.
-};
-
-// Shared accumulator for both the in-memory and the parsed-JSONL paths.
-class JournalAccumulator {
- public:
-  void Add(std::string_view ev, std::string_view name, int64_t ts_us, int64_t a, int64_t b,
-           int64_t c, int64_t d) {
-    // Span and phase events are stamped with their start; they end a later.
-    summary_.span_us =
-        std::max(summary_.span_us, ev == "span" || ev == "phase" ? ts_us + a : ts_us);
-    if (ev == "lock_site") {
-      JournalSummary::Site& site = SiteFor(name);
-      site.wait_ns = a;
-      site.hold_ns = b;
-      site.acquisitions = c;
-      site.contended = d;
-    } else if (ev == "lock_wait") {
-      ++summary_.lock_wait_events;
-      // Individual waits only contribute when no end-of-run summary event
-      // later overwrites the site with authoritative totals.
-      if (summarized_.count(std::string(name)) == 0) {
-        SiteFor(name).wait_ns += a;
-      }
-    } else if (ev == "task_stop") {
-      JournalSummary::Worker& w = WorkerFor(a);
-      w.busy_us += b;
-      ++w.tasks;
-    } else if (ev == "task_start") {
-      WorkerFor(a);  // Make the worker visible even if its task never ends.
-    } else if (ev == "steal") {
-      ++WorkerFor(a).steals;
-    } else if (ev == "phase") {
-      summary_.phase_us[std::string(name)] += a;
-    } else if (ev == "rss") {
-      // a = current RSS at the sample, b = the kernel's high-water mark;
-      // either may lead depending on when the sampler last fired.
-      summary_.peak_rss_kb = std::max({summary_.peak_rss_kb, a, b});
-    }
-    if (ev == "lock_site") {
-      summarized_.insert(std::string(name));
-    }
-  }
-
-  JournalSummary Take() {
-    std::sort(summary_.sites.begin(), summary_.sites.end(),
-              [](const JournalSummary::Site& x, const JournalSummary::Site& y) {
-                if (x.wait_ns != y.wait_ns) {
-                  return x.wait_ns > y.wait_ns;
-                }
-                return x.name < y.name;
-              });
-    std::sort(summary_.workers.begin(), summary_.workers.end(),
-              [](const JournalSummary::Worker& x, const JournalSummary::Worker& y) {
-                return x.worker < y.worker;
-              });
-    return std::move(summary_);
-  }
-
-  void SetHeader(int64_t emitted, int64_t dropped) {
-    summary_.emitted = emitted;
-    summary_.dropped = dropped;
-  }
-
- private:
-  JournalSummary::Site& SiteFor(std::string_view name) {
-    for (JournalSummary::Site& s : summary_.sites) {
-      if (s.name == name) {
-        return s;
-      }
-    }
-    summary_.sites.emplace_back();
-    summary_.sites.back().name = std::string(name);
-    return summary_.sites.back();
-  }
-
-  JournalSummary::Worker& WorkerFor(int64_t index) {
-    for (JournalSummary::Worker& w : summary_.workers) {
-      if (w.worker == index) {
-        return w;
-      }
-    }
-    summary_.workers.emplace_back();
-    summary_.workers.back().worker = index;
-    return summary_.workers.back();
-  }
-
-  JournalSummary summary_;
-  std::set<std::string> summarized_;  // Sites with authoritative lock_site totals.
 };
 
 void FoldFrame(std::map<std::string, int64_t>* folded, const OpenFrame& frame) {
@@ -248,33 +157,6 @@ TimelineViews RenderTimeline(const std::vector<Event>& events, int64_t dropped) 
   return views;
 }
 
-void JournalLockSites(EventJournal* journal) {
-  if (journal == nullptr) {
-    return;
-  }
-  for (const LockSiteSnapshot& s : LockProbes::Snapshot()) {
-    // The journal keeps only the name pointer and the snapshot's name is a
-    // copy, so intern it in a leaked pool that outlives every journal.
-    static std::mutex pool_mu;
-    static std::set<std::string>* pool = new std::set<std::string>();
-    const char* stable_name = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(pool_mu);
-      stable_name = pool->insert(s.name).first->c_str();
-    }
-    journal->Emit(EventKind::kLockSite, stable_name, s.wait_ns, s.hold_ns, s.acquisitions,
-                  s.contended);
-  }
-}
-
-JournalSummary SummarizeEvents(const std::vector<Event>& events) {
-  JournalAccumulator acc;
-  for (const Event& e : events) {
-    acc.Add(EventKindName(e.kind), e.name != nullptr ? e.name : "?", e.ts_us, e.a, e.b, e.c, e.d);
-  }
-  return acc.Take();
-}
-
 std::optional<JournalSummary> SummarizeJsonl(std::string_view text,
                                              std::vector<std::string>* problems) {
   std::vector<std::string> local = EventJournal::ValidateJsonl(text);
@@ -284,7 +166,8 @@ std::optional<JournalSummary> SummarizeJsonl(std::string_view text,
   if (!local.empty()) {
     return std::nullopt;
   }
-  JournalAccumulator acc;
+  JournalSummary summary;
+  std::map<int64_t, JournalSummary::Worker> workers;  // By worker index.
   size_t pos = 0;
   size_t line_no = 0;
   while (pos <= text.size()) {
@@ -300,44 +183,46 @@ std::optional<JournalSummary> SummarizeJsonl(std::string_view text,
     if (!doc.has_value()) {
       continue;  // Validator already passed, so this should not happen.
     }
-    if (line_no == 1) {
-      const JsonValue* emitted = doc->Find("emitted");
-      const JsonValue* dropped = doc->Find("dropped");
-      acc.SetHeader(emitted != nullptr ? static_cast<int64_t>(emitted->number) : 0,
-                    dropped != nullptr ? static_cast<int64_t>(dropped->number) : 0);
-      continue;
-    }
     auto num = [&doc](const char* key) -> int64_t {
       const JsonValue* v = doc->Find(key);
       return v != nullptr && v->is_number() ? static_cast<int64_t>(v->number) : 0;
     };
-    const JsonValue* ev = doc->Find("ev");
-    const JsonValue* name = doc->Find("name");
-    acc.Add(ev->string, name->string, num("ts_us"), num("a"), num("b"), num("c"), num("d"));
+    if (line_no == 1) {
+      summary.emitted = num("emitted");
+      summary.dropped = num("dropped");
+      continue;
+    }
+    const std::string& ev = doc->Find("ev")->string;
+    const int64_t ts_us = num("ts_us");
+    const int64_t a = num("a");
+    const int64_t b = num("b");
+    // Span and phase events are stamped with their start; they end a later.
+    summary.span_us = std::max(summary.span_us, ev == "span" || ev == "phase" ? ts_us + a : ts_us);
+    if (ev == "task_stop") {
+      JournalSummary::Worker& w = workers[a];
+      w.busy_us += b;
+      ++w.tasks;
+    } else if (ev == "task_start") {
+      workers[a];  // Make the worker visible even if its task never ends.
+    } else if (ev == "steal") {
+      ++workers[a].steals;
+    } else if (ev == "phase") {
+      summary.phase_us[doc->Find("name")->string] += a;
+    } else if (ev == "rss") {
+      // a = current RSS at the sample, b = the kernel's high-water mark;
+      // either may lead depending on when the sampler last fired.
+      summary.peak_rss_kb = std::max({summary.peak_rss_kb, a, b});
+    }
   }
-  return acc.Take();
+  for (auto& [index, worker] : workers) {
+    worker.worker = index;
+    summary.workers.push_back(worker);
+  }
+  return summary;
 }
 
 std::string FormatReport(const JournalSummary& summary) {
-  std::string out;
-  out += "== contention ==\n";
-  if (summary.sites.empty()) {
-    out += "  (no lock sites recorded)\n";
-  }
-  int rank = 0;
-  for (const JournalSummary::Site& s : summary.sites) {
-    if (++rank > 10) {
-      break;
-    }
-    out += "  " + std::to_string(rank) + ". " + s.name + "  wait=" + FormatMs(s.wait_ns / 1000) +
-           "ms";
-    if (s.acquisitions > 0) {
-      out += "  hold=" + FormatMs(s.hold_ns / 1000) + "ms  acq=" + std::to_string(s.acquisitions) +
-             "  contended=" + std::to_string(s.contended);
-    }
-    out += "\n";
-  }
-  out += "== workers ==\n";
+  std::string out = "== workers ==\n";
   if (summary.workers.empty()) {
     out += "  (no worker events)\n";
   }

@@ -11,29 +11,14 @@ Session::Session(SessionOptions options) : options_(std::move(options)) {
   if (options_.metrics) {
     metrics_ = std::make_unique<Registry>();
   }
-  if (!options_.journal_out.empty() || !options_.trace_out.empty()) {
+  if (!options_.journal_out.empty() || !options_.trace_out.empty() ||
+      !options_.folded_out.empty()) {
     journal_ = std::make_unique<EventJournal>();
     EventJournal::SetGlobal(journal_.get());
   }
-  if (options_.arm_lock_probes) {
-    LockProbes::Reset();
-    LockProbes::Arm();
-    armed_ = true;
-  }
 }
 
-Session::~Session() {
-  if (armed_) {
-    LockProbes::Disarm();
-  }
-}
-
-bool Session::Finish(const char* who, const std::string& folded_out) {
-  if (armed_) {
-    LockProbes::Disarm();
-    armed_ = false;
-    JournalLockSites(journal_.get());
-  }
+bool Session::Finish(const char* who) {
   if (journal_ == nullptr) {
     return true;
   }
@@ -49,13 +34,13 @@ bool Session::Finish(const char* who, const std::string& folded_out) {
   if (!options_.journal_out.empty()) {
     write(options_.journal_out, journal_->ToJsonl());
   }
-  if (!options_.trace_out.empty() || !folded_out.empty()) {
+  if (!options_.trace_out.empty() || !options_.folded_out.empty()) {
     TimelineViews views = RenderTimeline(journal_->Drain(), journal_->dropped());
     if (!options_.trace_out.empty()) {
       write(options_.trace_out, views.chrome_json + '\n');
     }
-    if (!folded_out.empty()) {
-      write(folded_out, views.folded);
+    if (!options_.folded_out.empty()) {
+      write(options_.folded_out, views.folded);
     }
   }
   return ok;

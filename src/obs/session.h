@@ -4,8 +4,7 @@
 // out null hooks, so the disabled path costs one branch per instrumentation
 // site and no start-up time. The journal is the one timeline: the Chrome
 // trace and the folded stacks are views of it, rendered at Finish. `sash
-// analyze`, `sash profile`, `sash serve` and each supervised daemon
-// incarnation share it.
+// analyze`, `sash serve` and each supervised daemon incarnation share it.
 //
 //   obs::Session session({.trace_out = "t.json", .metrics = stats});
 //   batch.obs = session.hooks();
@@ -25,18 +24,17 @@ struct SessionOptions {
   std::string trace_out{};    // Non-empty: keep the journal; Finish writes the
                               // Chrome trace rendered from it.
   std::string journal_out{};  // Non-empty: keep the journal; Finish writes its JSONL.
-                              // Either one installs the journal as
+  std::string folded_out{};   // Non-empty: keep the journal; Finish writes the
+                              // collapsed stacks rendered from it.
+                              // Any of the three installs the journal as
                               // EventJournal::Global() for the session.
   bool metrics = false;       // Keep a metrics registry.
-  bool arm_lock_probes = false;  // Reset and arm the lock probes for the
-                                 // session; Finish journals their site totals.
 };
 
 class Session {
  public:
+  // The journal uninstalls itself on destruction.
   explicit Session(SessionOptions options);
-  // Disarms the probes if still armed; the journal uninstalls itself.
-  ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -44,18 +42,15 @@ class Session {
   Registry* metrics() const { return metrics_.get(); }
   EventJournal* journal() const { return journal_.get(); }
 
-  // Disarms the lock probes and journals their site totals, then writes the
-  // requested views of the drained journal: the JSONL, the Chrome trace,
-  // and, when `folded_out` is non-empty, the collapsed stacks (`sash
-  // profile --folded`). Each unwritable file is reported on stderr
-  // as "<who>: cannot write PATH"; false when any write failed.
-  bool Finish(const char* who, const std::string& folded_out = {});
+  // Writes the requested views of the drained journal: the JSONL, the
+  // Chrome trace and the collapsed stacks. Each unwritable file is reported
+  // on stderr as "<who>: cannot write PATH"; false when any write failed.
+  bool Finish(const char* who);
 
  private:
   SessionOptions options_;
   std::unique_ptr<Registry> metrics_;
   std::unique_ptr<EventJournal> journal_;
-  bool armed_ = false;
 };
 
 }  // namespace sash::obs

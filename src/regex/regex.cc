@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/lockprobe.h"
 #include "regex/parser.h"
 #include "util/hash.h"
 
@@ -120,7 +119,7 @@ struct PatternStore {
 };
 
 struct PatternCacheImpl {
-  obs::ProfiledMutex mu{"regex.pattern_cache"};  // Writers (Store/Clear) only.
+  std::mutex mu;  // Writers (Store/Clear) only.
   std::atomic<PatternStore*> store;
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
@@ -154,7 +153,7 @@ std::optional<Regex> PatternCacheLookup(char domain, std::string_view pattern) {
 void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex) {
   PatternCacheImpl& c = pattern_cache();
   uint64_t hash = PatternStore::KeyHash(domain, pattern);
-  std::lock_guard<obs::ProfiledMutex> lock(c.mu);
+  std::lock_guard<std::mutex> lock(c.mu);
   // The live generation only changes under mu, which we hold.
   PatternStore& s = *c.store.load(std::memory_order_relaxed);
   if (s.Probe(domain, pattern, hash) != 0) {
@@ -203,7 +202,7 @@ size_t PatternCache::Size() {
 }
 void PatternCache::Clear() {
   PatternCacheImpl& c = pattern_cache();
-  std::lock_guard<obs::ProfiledMutex> lock(c.mu);
+  std::lock_guard<std::mutex> lock(c.mu);
   // Swap in a fresh empty generation; the outgoing one is retired intact so
   // readers that already acquired it finish their probes on valid memory.
   c.generations.push_back(std::make_unique<PatternStore>());

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/lockprobe.h"
-
 namespace sash::specs {
 
 SpecLibrary::SpecLibrary(SpecLibrary&& other) noexcept {
@@ -460,13 +458,7 @@ SpecLibrary BuildGroundTruth() {
 }  // namespace
 
 const SpecLibrary& SpecLibrary::BuiltinGroundTruth() {
-  // The library itself is immutable after construction and needs no lock, but
-  // the magic static's one-time build serializes every thread that races to
-  // first use — the probe makes that startup convoy visible in profiles.
-  static obs::LockSite* site = obs::LockProbes::Register("specs.library.init");
-  // 10us threshold: the steady-state path (a static-init check) never counts
-  // as contended; a thread parked behind the initial build does.
-  obs::ScopedWaitProbe probe(site, /*contended_threshold_ns=*/10'000);
+  // Immutable after construction, so the magic static is the only lock.
   static const SpecLibrary kLibrary = BuildGroundTruth();
   return kLibrary;
 }

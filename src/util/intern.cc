@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/lockprobe.h"
 #include "util/hash.h"
 
 namespace sash::util {
@@ -74,10 +73,8 @@ struct Index {
 // split.
 struct alignas(64) Segment {
   // Writer lock for genuine insertions only; every lookup — Intern of an
-  // already-seen string, Find, str(), hash() — is lock-free. All segments
-  // share one logical probe site ("intern.table"); per-instance stats merge
-  // by name in LockProbes::Snapshot().
-  obs::ProfiledMutex mu{"intern.table"};
+  // already-seen string, Find, str(), hash() — is lock-free.
+  std::mutex mu;
   std::atomic<Index*> index{nullptr};
   std::vector<std::unique_ptr<Index>> owned;  // Live + retired index arrays.
   size_t used = 0;                            // Occupied slots; guarded by mu.
@@ -160,7 +157,7 @@ struct Table {
     if (uint32_t v = Probe(seg, text, hash)) {
       return v - 1;
     }
-    std::lock_guard<obs::ProfiledMutex> lock(seg.mu);
+    std::lock_guard<std::mutex> lock(seg.mu);
     // Re-probe under the lock: a racing writer may have inserted it.
     if (uint32_t v = Probe(seg, text, hash)) {
       return v - 1;

@@ -17,10 +17,10 @@
 //     hash. Each segment publishes an open-addressed id index via release
 //     stores, so `Intern` of an already-seen string and all of `Find` /
 //     `str()` / `view()` / `hash()` take zero locks; only a genuine
-//     insertion takes its segment's lock ("intern.table" probe site). Under
-//     the batch pool this is the difference between every worker serializing
-//     on one mutex and workers only meeting when two of them coin a new
-//     string whose hash lands in the same stripe.
+//     insertion takes its segment's lock. Under the batch pool this is the
+//     difference between every worker serializing on one mutex and workers
+//     only meeting when two of them coin a new string whose hash lands in
+//     the same stripe.
 //   - Entries live in immutable slabs whose pointers are published with
 //     release stores (ids stay dense and process-global across segments).
 //   - The empty string is pre-interned as id 0, so a default-constructed

@@ -34,7 +34,7 @@ ThreadPool::ThreadPool(int threads, obs::Hooks hooks) : hooks_(hooks) {
 ThreadPool::~ThreadPool() {
   Wait();
   {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(idle_mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
@@ -48,16 +48,16 @@ void ThreadPool::Submit(std::function<void()> task) {
   if (tls_pool == this) {
     target = tls_index;
   } else {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(idle_mu_);
     target = static_cast<int>(next_++ % workers_.size());
   }
   {
-    std::lock_guard<obs::ProfiledMutex> lock(workers_[static_cast<size_t>(target)]->mu);
+    std::lock_guard<std::mutex> lock(workers_[static_cast<size_t>(target)]->mu);
     workers_[static_cast<size_t>(target)]->deque.push_back(std::move(task));
   }
   int64_t depth;
   {
-    std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(idle_mu_);
     ++pending_;
     depth = ++queued_;
   }
@@ -72,7 +72,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 bool ThreadPool::TryPopOwn(int index, std::function<void()>* task) {
   Worker& w = *workers_[static_cast<size_t>(index)];
-  std::lock_guard<obs::ProfiledMutex> lock(w.mu);
+  std::lock_guard<std::mutex> lock(w.mu);
   if (w.deque.empty()) {
     return false;
   }
@@ -88,7 +88,7 @@ bool ThreadPool::TrySteal(int thief, std::function<void()>* task) {
     bool stolen = false;
     {
       Worker& w = *workers_[victim];
-      std::lock_guard<obs::ProfiledMutex> lock(w.mu);
+      std::lock_guard<std::mutex> lock(w.mu);
       if (!w.deque.empty()) {
         *task = std::move(w.deque.front());
         w.deque.pop_front();
@@ -135,14 +135,14 @@ void ThreadPool::WorkerLoop(int index) {
     if (TryPopOwn(index, &task) || TrySteal(index, &task)) {
       int64_t depth;
       {
-        std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+        std::lock_guard<std::mutex> lock(idle_mu_);
         depth = --queued_;
       }
       if (queue_gauge_ != nullptr) {
         queue_gauge_->Set(depth);
       }
       RunTask(index, &task);
-      std::lock_guard<obs::ProfiledMutex> lock(idle_mu_);
+      std::lock_guard<std::mutex> lock(idle_mu_);
       if (--pending_ == 0) {
         done_cv_.notify_all();
       }
@@ -151,7 +151,7 @@ void ThreadPool::WorkerLoop(int index) {
     // The queued_ predicate (checked under idle_mu_, which Submit also holds)
     // closes the missed-wakeup window between the deque probes above and the
     // wait below.
-    std::unique_lock<obs::ProfiledMutex> lock(idle_mu_);
+    std::unique_lock<std::mutex> lock(idle_mu_);
     work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
     if (shutdown_ && queued_ == 0) {
       return;
@@ -162,7 +162,7 @@ void ThreadPool::WorkerLoop(int index) {
 void ThreadPool::Wait() {
   // Workers decrement pending_ only after the task body returns, so
   // pending_ == 0 means "all queued and running work is finished".
-  std::unique_lock<obs::ProfiledMutex> lock(idle_mu_);
+  std::unique_lock<std::mutex> lock(idle_mu_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 

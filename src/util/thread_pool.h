@@ -13,12 +13,10 @@
 // including tasks submitted by tasks — has finished.
 //
 // With observability hooks attached the pool reports its own scheduling:
-// worker deque and idle locks are ProfiledMutex sites ("pool.worker",
-// "pool.idle"), each task start/stop, steal, and queue-depth change lands in
-// the event journal (the start/stop pair is the task's span in the trace,
-// on a lane named after its worker), and the "pool.queue_depth" gauge
-// tracks backlog. With default hooks a task runs with no allocation and no
-// clock read.
+// each task start/stop, steal, and queue-depth change lands in the event
+// journal (the start/stop pair is the task's span in the trace, on a lane
+// named after its worker), and the "pool.queue_depth" gauge tracks backlog.
+// With default hooks a task runs with no allocation and no clock read.
 #ifndef SASH_UTIL_THREAD_POOL_H_
 #define SASH_UTIL_THREAD_POOL_H_
 
@@ -70,9 +68,7 @@ class ThreadPool {
   // bounces the line between cores and re-serializes what the per-worker
   // deques exist to keep apart.
   struct alignas(64) Worker {
-    // All workers share one logical probe site; per-instance stats merge by
-    // name in LockProbes::Snapshot().
-    obs::ProfiledMutex mu{"pool.worker"};
+    std::mutex mu;
     std::deque<std::function<void()>> deque;
     // Tasks this worker stole from others. Atomic so the thief records its
     // steal without re-taking its own deque lock on the steal path.
@@ -90,12 +86,11 @@ class ThreadPool {
   obs::Hooks hooks_;
   obs::Gauge* queue_gauge_ = nullptr;  // Hoisted "pool.queue_depth" handle.
 
-  obs::ProfiledMutex idle_mu_{"pool.idle"};
-  // _any variants because idle_mu_ is a ProfiledMutex, not a std::mutex.
-  std::condition_variable_any work_cv_;  // Signaled on submit and shutdown.
-  std::condition_variable_any done_cv_;  // Signaled when pending reaches zero.
-  int64_t pending_ = 0;              // Submitted but not yet finished.
-  int64_t queued_ = 0;               // Submitted but not yet picked up.
+  std::mutex idle_mu_;
+  std::condition_variable work_cv_;   // Signaled on submit and shutdown.
+  std::condition_variable done_cv_;   // Signaled when pending reaches zero.
+  int64_t pending_ = 0;               // Submitted but not yet finished.
+  int64_t queued_ = 0;                // Submitted but not yet picked up.
   bool shutdown_ = false;
   unsigned next_ = 0;  // Round-robin cursor for external submissions.
 };

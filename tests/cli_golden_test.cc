@@ -193,7 +193,12 @@ TEST_F(CliGoldenTest, ExitCodes) {
   // Findings → 1 (covered above too); usage error → 2.
   EXPECT_EQ(RunCli(Sash("analyze --format=json")).exit_code, 2);       // No inputs.
   EXPECT_EQ(RunCli(Sash("analyze --bogus-flag x.sh")).exit_code, 2);   // Unknown flag.
-  EXPECT_EQ(RunCli(Sash("profile --no-cache --journal= x.sh")).exit_code, 2);  // Empty path.
+  RunResult empty_path = RunCli(Sash("analyze --folded= x.sh 2>&1"));
+  EXPECT_EQ(empty_path.exit_code, 2);
+  EXPECT_NE(empty_path.output.find("--folded requires a value"), std::string::npos)
+      << empty_path.output;
+  EXPECT_EQ(RunCli(Sash("profile x.sh")).exit_code, 2);                // Unknown verb.
+  EXPECT_EQ(RunCli(Sash("mine rm cp")).exit_code, 2);                  // One command at most.
   EXPECT_EQ(RunCli(Sash("verify --bogus pipeline.sh")).exit_code, 2);  // Unknown flag.
   RunResult trailing = RunCli(Sash("analyze pipeline.sh --cache-dir 2>&1"));
   EXPECT_EQ(trailing.exit_code, 2);
@@ -207,7 +212,6 @@ TEST_F(CliGoldenTest, ExitCodes) {
   const std::pair<std::string, std::vector<std::string>> int_flags[] = {
       {"analyze", {"--jobs", "-j", "--deadline-ms", "--max-input-bytes", "--max-rss-mb",
                    "--worker-cpu-s"}},
-      {"profile", {"--jobs", "-j"}},
       {"serve", {"--jobs", "-j", "--max-pending", "--max-connections", "--deadline-cap-ms",
                  "--default-budget-ms", "--idle-timeout-ms", "--io-timeout-ms",
                  "--drain-deadline-ms", "--max-frame-bytes", "--max-rss-mb", "--worker-cpu-s",
@@ -239,35 +243,35 @@ TEST_F(CliGoldenTest, ExitCodes) {
 
 TEST_F(CliGoldenTest, ReportSummarizesBenchDocuments) {
   sash::obs::Registry registry;
-  registry.counter("contention.contended.j4")->Add(17);
-  registry.gauge("contention.overhead_x10000")->Set(120);
+  registry.counter("serve.requests")->Add(17);
+  registry.gauge("serve.warm_p50_us")->Set(120);
   std::vector<sash::obs::BenchRun> runs = {{"BM_Thing", 10, 5.0, 4.0}};
   fs::create_directories(cache_);
-  fs::path doc = cache_ / "BENCH_contention.json";
-  std::ofstream(doc) << sash::obs::BenchReportJson("contention", runs, &registry);
+  fs::path doc = cache_ / "BENCH_serve.json";
+  std::ofstream(doc) << sash::obs::BenchReportJson("serve", runs, &registry);
 
   RunResult r = RunCli(Sash("report '" + doc.string() + "'"));
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("(sash-bench-v1) =="), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("  bench: contention\n"), std::string::npos) << r.output;
-  for (const char* line : {"contention.contended.j4", "contention.overhead_x10000"}) {
+  EXPECT_NE(r.output.find("  bench: serve\n"), std::string::npos) << r.output;
+  for (const char* line : {"serve.requests", "serve.warm_p50_us"}) {
     EXPECT_NE(r.output.find(line), std::string::npos) << r.output;
   }
   EXPECT_NE(r.output.find(" 17\n"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find(" 120\n"), std::string::npos) << r.output;
 }
 
-TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {
-  fs::path dir = fs::temp_directory_path() / ("sash_profile_smoke_" + std::to_string(::getpid()));
+// A journaled batch leaves the journal and its two views behind, and `sash
+// report --journal` summarizes the journal alone.
+TEST_F(CliGoldenTest, AnalyzeJournalEmitsValidArtifactsAndReport) {
+  fs::path dir = fs::temp_directory_path() / ("sash_journal_smoke_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   std::string journal = (dir / "events.jsonl").string();
   std::string trace = (dir / "trace.json").string();
   std::string folded = (dir / "profile.folded").string();
-  RunResult r = RunCli(Sash("profile -j4 --no-cache --journal '" + journal + "' --trace-out '" +
+  RunResult r = RunCli(Sash("analyze -j4 --no-cache --journal '" + journal + "' --trace-out '" +
                             trace + "' --folded '" + folded + "' ."));
-  EXPECT_LE(r.exit_code, 1);  // The corpus has findings; only >1 is a failure.
-  EXPECT_NE(r.output.find("== contention =="), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("== workers =="), std::string::npos) << r.output;
+  EXPECT_EQ(r.exit_code, 1);  // The corpus has findings.
 
   // The journal must round-trip its own schema validator...
   std::string jsonl = ReadFile(journal);
@@ -315,10 +319,12 @@ TEST_F(CliGoldenTest, ProfileEmitsValidArtifactsAndReport) {
   // ...and the folded stacks must contain at least one analyze frame.
   EXPECT_NE(ReadFile(folded).find("task"), std::string::npos);
 
-  // `sash report` rebuilds the same sections from the journal alone.
   RunResult rep = RunCli(Sash("report --journal '" + journal + "'"));
   EXPECT_EQ(rep.exit_code, 0);
-  EXPECT_NE(rep.output.find("== contention =="), std::string::npos) << rep.output;
+  EXPECT_NE(rep.output.find("== workers ==\n  worker "), std::string::npos) << rep.output;
+  EXPECT_NE(rep.output.find("== phases ==\n"), std::string::npos) << rep.output;
+  EXPECT_NE(rep.output.find("  symex "), std::string::npos) << rep.output;
+  EXPECT_EQ(rep.output.find("contention"), std::string::npos) << rep.output;
   fs::remove_all(dir);
 }
 

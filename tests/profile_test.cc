@@ -1,8 +1,8 @@
-// Tests for the self-profiling subsystem: lock probes (armed, disarmed, and
-// compiled-out), the event journal and its JSONL schema, the Chrome trace
-// and folded stacks rendered from it (counter tracks, worker lanes, self
-// time), thread-pool telemetry, the `sash report` aggregation, the
-// pay-for-use obs::Session, and the allocation-free disarmed path.
+// Tests for the self-profiling subsystem: the event journal and its JSONL
+// schema, the Chrome trace and folded stacks rendered from it (counter
+// tracks, worker lanes, self time), thread-pool telemetry, the `sash report`
+// aggregation, the pay-for-use obs::Session, and the allocation-free
+// disarmed path.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,16 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <new>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/journal.h"
 #include "obs/json.h"
-#include "obs/lockprobe.h"
 #include "obs/metrics.h"
 #include "obs/procstat.h"
 #include "obs/profile.h"
@@ -86,145 +83,14 @@ namespace {
 using sash::obs::Event;
 using sash::obs::EventJournal;
 using sash::obs::EventKind;
-using sash::obs::LockProbes;
-using sash::obs::LockSite;
-using sash::obs::LockSiteSnapshot;
 using sash::obs::JsonValue;
 using sash::obs::Span;
-
-// Restores the disarmed default and clears counters around each probe test,
-// so tests cannot leak arm state into each other (or into other suites).
-class LockProbeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    LockProbes::Disarm();
-    LockProbes::Reset();
-  }
-  void TearDown() override {
-    LockProbes::Disarm();
-    EventJournal::SetGlobal(nullptr);
-  }
-
-  static LockSiteSnapshot FindSite(const std::string& name) {
-    for (const LockSiteSnapshot& s : LockProbes::Snapshot()) {
-      if (s.name == name) {
-        return s;
-      }
-    }
-    return {};
-  }
-};
-
-TEST_F(LockProbeTest, DisarmedMutexRecordsNothing) {
-  sash::obs::ProfiledMutex mu("test.disarmed");
-  for (int i = 0; i < 10; ++i) {
-    std::lock_guard<sash::obs::ProfiledMutex> lock(mu);
-  }
-  LockSiteSnapshot site = FindSite("test.disarmed");
-  EXPECT_EQ(site.acquisitions, 0);
-  EXPECT_EQ(site.contended, 0);
-  EXPECT_EQ(site.wait_ns, 0);
-  EXPECT_EQ(site.hold_ns, 0);
-}
-
-TEST_F(LockProbeTest, ArmedMutexCountsAcquisitionsAndSamplesHold) {
-  sash::obs::ProfiledMutex mu("test.armed");
-  LockProbes::Arm();
-  for (int i = 0; i < 16; ++i) {
-    std::lock_guard<sash::obs::ProfiledMutex> lock(mu);
-    // Only every 8th acquisition is hold-timed; the first after Reset() is,
-    // so a little work here must show up in hold_ns.
-    std::this_thread::sleep_for(std::chrono::microseconds(i < 2 ? 200 : 0));
-  }
-  LockSiteSnapshot site = FindSite("test.armed");
-  EXPECT_EQ(site.acquisitions, 16);
-  EXPECT_EQ(site.contended, 0);
-  EXPECT_GT(site.hold_ns, 0);
-}
-
-TEST_F(LockProbeTest, ContendedAcquisitionRecordsWaitAndJournals) {
-  EventJournal journal(1024);
-  EventJournal::SetGlobal(&journal);
-  sash::obs::ProfiledMutex mu("test.contended");
-  LockProbes::Arm();
-
-  std::atomic<bool> held{false};
-  std::thread holder([&] {
-    mu.lock();
-    held.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    mu.unlock();
-  });
-  while (!held.load()) {
-    std::this_thread::yield();
-  }
-  mu.lock();  // Blocks until the holder releases: a contended acquisition.
-  mu.unlock();
-  holder.join();
-
-  LockSiteSnapshot site = FindSite("test.contended");
-  EXPECT_EQ(site.acquisitions, 2);
-  EXPECT_GE(site.contended, 1);
-  EXPECT_GT(site.wait_ns, 1'000'000);  // Waited most of the 5ms hold.
-  EXPECT_GT(site.max_wait_ns, 0);
-  EXPECT_GE(site.wait_p99_ns, site.wait_p50_ns);
-
-  bool journaled = false;
-  for (const Event& e : journal.Drain()) {
-    if (e.kind == EventKind::kLockWait && std::string(e.name) == "test.contended") {
-      journaled = true;
-      EXPECT_GT(e.a, 0);  // The wait, in nanoseconds.
-    }
-  }
-  EXPECT_TRUE(journaled);
-}
-
-TEST_F(LockProbeTest, ScopedWaitProbeHonorsThreshold) {
-  static LockSite* site = LockProbes::Register("test.waitprobe");
-  LockProbes::Arm();
-  {
-    sash::obs::ScopedWaitProbe probe(site);  // Threshold 0: always contended.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  {
-    // A region faster than the threshold counts only as an acquisition.
-    sash::obs::ScopedWaitProbe probe(site, /*contended_threshold_ns=*/int64_t{1} << 60);
-  }
-  LockSiteSnapshot snap = FindSite("test.waitprobe");
-  EXPECT_EQ(snap.acquisitions, 2);
-  EXPECT_EQ(snap.contended, 1);
-  EXPECT_GT(snap.wait_ns, 0);
-}
-
-TEST_F(LockProbeTest, SnapshotMergesSitesSharingAName) {
-  // Every pool worker registers its deque lock under the same name; the
-  // snapshot must present them as one logical site.
-  static LockSite* a = LockProbes::Register("test.merged");
-  static LockSite* b = LockProbes::Register("test.merged");
-  ASSERT_NE(a, b);
-  LockProbes::Arm();
-  a->RecordAcquisition();
-  b->RecordAcquisition();
-  b->RecordWait(1000);
-  int hits = 0;
-  LockSiteSnapshot merged;
-  for (const LockSiteSnapshot& s : LockProbes::Snapshot()) {
-    if (s.name == "test.merged") {
-      ++hits;
-      merged = s;
-    }
-  }
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(merged.acquisitions, 2);
-  EXPECT_EQ(merged.contended, 1);
-  EXPECT_EQ(merged.wait_ns, 1000);
-}
 
 TEST(JournalTest, DrainPreservesEmissionOrder) {
   EventJournal journal(1024);
   journal.Emit(EventKind::kMark, "first", 1);
   journal.Emit(EventKind::kPhase, "parse", 42);
-  journal.Emit(EventKind::kLockWait, "some.site", 125'000);
+  journal.Emit(EventKind::kSpan, "work", 125);
   std::vector<Event> events = journal.Drain();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].seq, 0u);
@@ -274,6 +140,12 @@ TEST(JournalTest, ValidatorRejectsCorruptDocuments) {
                       R"("a":0,"b":0,"c":0,"d":0})"
                       "\n";
   EXPECT_FALSE(EventJournal::ValidateJsonl(bogus).empty());
+  // A retired kind is now unknown too.
+  std::string retired = jsonl +
+                        R"({"ev":"lock_wait","seq":9,"ts_us":1,"tid":0,"name":"intern.table",)"
+                        R"("a":125000,"b":0,"c":0,"d":0})"
+                        "\n";
+  EXPECT_FALSE(EventJournal::ValidateJsonl(retired).empty());
 }
 
 // A hand-built journal event, for rendering tests that need exact times.
@@ -476,48 +348,36 @@ TEST(PoolTelemetryTest, WorkersEmitTaskAndQueueEvents) {
   EXPECT_EQ(folded.find("\nwork "), std::string::npos) << folded;
 }
 
-TEST(ReportTest, SummarizeRanksSitesAndComputesUtilization) {
+TEST(ReportTest, SummarizeComputesWorkersPhasesAndRun) {
   EventJournal journal(1024);
-  journal.Emit(EventKind::kLockSite, "intern.table", 5'000'000, 1'000, 400, 12);
-  journal.Emit(EventKind::kLockSite, "pool.worker", 9'000'000, 2'000, 100, 30);
-  journal.Emit(EventKind::kTaskStop, "pool.task", 0, 700);
+  journal.Emit(EventKind::kTaskStart, "pool.task", 1);
   journal.Emit(EventKind::kTaskStop, "pool.task", 1, 300);
+  journal.Emit(EventKind::kTaskStop, "pool.task", 0, 700);
+  journal.Emit(EventKind::kSteal, "pool.steal", 1);
   journal.Emit(EventKind::kPhase, "parse", 250);
   journal.Emit(EventKind::kPhase, "symex", 750);
   journal.Emit(EventKind::kRss, "process.rss_kb", 11'000, 13'000);
 
-  sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(journal.Drain());
-  ASSERT_EQ(summary.sites.size(), 2u);
-  EXPECT_EQ(summary.sites[0].name, "pool.worker");  // Most wait first.
-  EXPECT_EQ(summary.sites[0].wait_ns, 9'000'000);
-  EXPECT_EQ(summary.sites[1].acquisitions, 400);
-  ASSERT_EQ(summary.workers.size(), 2u);
-  EXPECT_EQ(summary.workers[0].busy_us, 700);
-  EXPECT_EQ(summary.phase_us.at("symex"), 750);
-  EXPECT_EQ(summary.peak_rss_kb, 13'000);
+  std::optional<sash::obs::JournalSummary> summary = sash::obs::SummarizeJsonl(journal.ToJsonl());
+  ASSERT_TRUE(summary.has_value());
+  ASSERT_EQ(summary->workers.size(), 2u);  // Sorted by worker index.
+  EXPECT_EQ(summary->workers[0].worker, 0);
+  EXPECT_EQ(summary->workers[0].busy_us, 700);
+  EXPECT_EQ(summary->workers[1].tasks, 1);
+  EXPECT_EQ(summary->workers[1].steals, 1);
+  EXPECT_EQ(summary->phase_us.at("parse"), 250);
+  EXPECT_EQ(summary->phase_us.at("symex"), 750);
+  EXPECT_EQ(summary->peak_rss_kb, 13'000);
+  EXPECT_EQ(summary->emitted, 7);
+  EXPECT_EQ(summary->dropped, 0);
 
-  std::string report = sash::obs::FormatReport(summary);
-  // The top contended site leads the contention section.
-  EXPECT_LT(report.find("pool.worker"), report.find("intern.table")) << report;
-  EXPECT_NE(report.find("parse"), std::string::npos);
-}
-
-TEST(ReportTest, JsonlSummaryMatchesInMemorySummary) {
-  EventJournal journal(1024);
-  journal.Emit(EventKind::kLockSite, "regex.pattern_cache", 2'000'000, 500, 77, 3);
-  journal.Emit(EventKind::kTaskStop, "pool.task", 0, 123);
-  journal.Emit(EventKind::kPhase, "stream-typing", 42);
-
-  sash::obs::JournalSummary direct = sash::obs::SummarizeEvents(journal.Drain());
-  std::optional<sash::obs::JournalSummary> parsed = sash::obs::SummarizeJsonl(journal.ToJsonl());
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->sites.size(), direct.sites.size());
-  EXPECT_EQ(parsed->sites[0].name, direct.sites[0].name);
-  EXPECT_EQ(parsed->sites[0].wait_ns, direct.sites[0].wait_ns);
-  EXPECT_EQ(parsed->workers.size(), direct.workers.size());
-  EXPECT_EQ(parsed->phase_us, direct.phase_us);
-  EXPECT_EQ(parsed->emitted, 3);
-  EXPECT_EQ(parsed->dropped, 0);
+  std::string report = sash::obs::FormatReport(*summary);
+  EXPECT_LT(report.find("== workers =="), report.find("== phases =="));
+  EXPECT_LT(report.find("== phases =="), report.find("== run =="));
+  EXPECT_NE(report.find("  worker 1:"), std::string::npos) << report;
+  EXPECT_NE(report.find("symex"), std::string::npos) << report;
+  EXPECT_NE(report.find("peak rss: 13000 kB"), std::string::npos) << report;
+  EXPECT_NE(report.find("7 events emitted, 0 dropped"), std::string::npos) << report;
 }
 
 TEST(ReportTest, SummarizeJsonlRejectsGarbage) {
@@ -554,9 +414,8 @@ TEST(ProcStatTest, SamplerPopulatesGaugeAndJournal) {
 }
 
 // The pay-for-use contract of obs::Session: a run that records nothing
-// builds no sink, installs no global journal and arms nothing.
+// builds no sink and installs no global journal.
 TEST(SessionTest, NothingRequestedBuildsNothing) {
-  LockProbes::Disarm();
   EventJournal::SetGlobal(nullptr);
   sash::obs::Session session({});
   EXPECT_EQ(session.metrics(), nullptr);
@@ -565,7 +424,6 @@ TEST(SessionTest, NothingRequestedBuildsNothing) {
   EXPECT_EQ(hooks.metrics, nullptr);
   EXPECT_EQ(hooks.journal, nullptr);
   EXPECT_EQ(EventJournal::Global(), nullptr);
-  EXPECT_FALSE(LockProbes::armed());
   EXPECT_TRUE(session.Finish("test"));  // Nothing to write.
 }
 
@@ -578,14 +436,12 @@ TEST(SessionTest, JournalIsGlobalForTheSessionAndWrittenAtFinish) {
   std::string folded_out = (dir / "profile.folded").string();
   {
     sash::obs::Session session(
-        {.trace_out = trace_out, .journal_out = journal_out, .arm_lock_probes = true});
+        {.trace_out = trace_out, .journal_out = journal_out, .folded_out = folded_out});
     ASSERT_NE(session.journal(), nullptr);
     EXPECT_EQ(session.metrics(), nullptr);
     EXPECT_EQ(EventJournal::Global(), session.journal());
-    EXPECT_TRUE(LockProbes::armed());
     { Span span(session.journal(), "work"); }
-    EXPECT_TRUE(session.Finish("test", folded_out));
-    EXPECT_FALSE(LockProbes::armed());
+    EXPECT_TRUE(session.Finish("test"));
     EXPECT_EQ(EventJournal::Global(), session.journal());  // Until destruction.
   }
   EXPECT_EQ(EventJournal::Global(), nullptr);
@@ -630,17 +486,20 @@ TEST(SessionTest, TraceOutOnlyBuildsJournalButWritesNoJsonl) {
   fs::remove_all(dir);
 }
 
-TEST(SessionTest, UnwritableArtifactFailsFinishAndDestructionDisarms) {
+// --folded alone builds the journal too; any unwritable artifact fails
+// Finish.
+TEST(SessionTest, UnwritableArtifactFailsFinish) {
   {
-    sash::obs::Session session(
-        {.journal_out = "/nonexistent-sash-dir/events.jsonl", .arm_lock_probes = true});
+    sash::obs::Session session({.journal_out = "/nonexistent-sash-dir/events.jsonl"});
     EXPECT_FALSE(session.Finish("test"));
   }
   {
-    sash::obs::Session session({.arm_lock_probes = true});
-    EXPECT_TRUE(LockProbes::armed());
+    sash::obs::Session session({.folded_out = "/nonexistent-sash-dir/profile.folded"});
+    ASSERT_NE(session.journal(), nullptr);
+    EXPECT_EQ(EventJournal::Global(), session.journal());
+    EXPECT_FALSE(session.Finish("test"));
   }
-  EXPECT_FALSE(LockProbes::armed());
+  EXPECT_EQ(EventJournal::Global(), nullptr);
 }
 
 // The disarmed path allocates nothing: with default (null) hooks, spans,

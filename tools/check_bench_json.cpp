@@ -11,7 +11,7 @@
 // fine (benches simply have not run yet).
 //
 // --journal FILE validates a JSONL event journal written by
-// `sash profile` / `sash analyze --journal` against sash-events-v1.
+// `sash analyze --journal` or `sash serve --journal` against sash-events-v1.
 //
 // --baseline FILE loads a "sash-bench-baseline-v1" document:
 //   {"schema":"sash-bench-baseline-v1","tolerance":1.5,
@@ -185,7 +185,7 @@ bool SelfTest() {
   // reject a document with the wrong schema tag.
   sash::obs::EventJournal journal(1024);
   journal.Emit(sash::obs::EventKind::kMark, "selftest");
-  journal.Emit(sash::obs::EventKind::kLockWait, "selftest.site", 1000);
+  journal.Emit(sash::obs::EventKind::kPhase, "selftest.phase", 1000);
   if (!sash::obs::EventJournal::ValidateJsonl(journal.ToJsonl()).empty()) {
     std::fprintf(stderr, "selftest: journal output failed validation\n");
     return false;

@@ -34,7 +34,7 @@ int Usage() {
                "          [--deadline-ms N] [--fail-fast] [--max-input-bytes N]\n"
                "          [--isolate] [--max-rss-mb N] [--worker-cpu-s N]\n"
                "          [--trace-out trace.json] [--journal events.jsonl]\n"
-               "          [--via SOCKET [--fallback local|fail]]\n"
+               "          [--folded profile.folded] [--via SOCKET [--fallback local|fail]]\n"
                "          <script.sh|dir>...\n"
                "  serve --socket PATH [-jN|--jobs N] [--cache-dir DIR] [--no-cache]\n"
                "          [--pidfile PATH] [--max-pending N] [--max-connections N]\n"
@@ -45,9 +45,6 @@ int Usage() {
                "          [--supervise [--max-restarts N] [--heartbeat-ms N]]\n"
                "          [--annotations file.sasht] [--no-warmup] [--stats]\n"
                "          [--journal events.jsonl]\n"
-               "  profile [-jN|--jobs N] [--cache-dir DIR] [--no-cache]\n"
-               "          [--journal events.jsonl] [--trace-out trace.json]\n"
-               "          [--folded profile.folded] <script.sh|dir>...\n"
                "  report  [--journal events.jsonl] [batch.json|bench.json]...\n"
                "  lint <script.sh>\n"
                "  run <script.sh> [args...]\n"
@@ -65,6 +62,9 @@ int Usage() {
                "(--max-rss-mb / --worker-cpu-s imply it): a crashing or OOMing file\n"
                "gets status \"crashed\" (exit 2) with a repro banked under\n"
                "<cache-dir>/quarantine/, and its neighbors are untouched\n"
+               "--journal, --trace-out and --folded write the run's event journal\n"
+               "and its Chrome-trace and flamegraph views; `sash report --journal`\n"
+               "summarizes a journal's workers, phases and run\n"
                "serve: exit 0 after a graceful drain (SIGTERM/SIGINT), 2 on startup\n"
                "failure. --supervise restarts the daemon on abnormal death (bounded\n"
                "backoff, heartbeat watchdog); exit 1 when --max-restarts is exhausted.\n"
@@ -74,7 +74,7 @@ int Usage() {
   return 2;
 }
 
-// Flag ranges shared by analyze/profile/serve.
+// Flag ranges shared by analyze and serve.
 inline constexpr int64_t kMaxJobs = 4096;
 inline constexpr int64_t kMaxMs = 1000000000;          // ~11.5 days.
 inline constexpr int64_t kMaxBytes = 1LL << 40;        // 1 TiB.
@@ -129,13 +129,16 @@ FlagMatch ParseFlag(const char* verb, FlagGroup<T> group, const std::vector<std:
       if (cut < arg.size()) {
         return FlagMatch::kNone;  // A switch takes no "=value".
       }
-    } else if (cut < arg.size()) {
-      value = arg.substr(is_long ? cut + 1 : cut);
-    } else if (*i + 1 < args.size()) {
-      value = args[++*i];
     } else {
-      std::fprintf(stderr, "sash %s: %s requires a value\n", verb, spelling.c_str());
-      return FlagMatch::kBad;
+      if (cut < arg.size()) {
+        value = arg.substr(is_long ? cut + 1 : cut);
+      } else if (*i + 1 < args.size()) {
+        value = args[++*i];
+      }
+      if (value.empty()) {  // Missing, or given as "--flag=" or "--flag ''".
+        std::fprintf(stderr, "sash %s: %s requires a value\n", verb, spelling.c_str());
+        return FlagMatch::kBad;
+      }
     }
     return std::visit(
         [&](auto field) {
@@ -199,7 +202,7 @@ bool ParseFlags(const char* verb, const std::vector<std::string>& args,
 using sash::batch::BatchOptions;
 using sash::core::AnalyzerOptions;
 
-// -j/--jobs, --cache-dir and --no-cache: analyze, profile and serve.
+// -j/--jobs, --cache-dir and --no-cache: analyze and serve.
 constexpr Flag<BatchOptions> kJobsAndCacheFlags[] = {
     {.name = "--jobs", .field = &BatchOptions::jobs, .max = kMaxJobs, .alias = "-j"},
     {"--cache-dir", &BatchOptions::cache_dir},
@@ -374,6 +377,7 @@ struct AnalyzeArgs {
   std::string annotations;
   std::string trace_out;
   std::string journal_out;
+  std::string folded_out;
   std::string via;
   std::string fallback = "fail";
   std::string format = "text";
@@ -383,6 +387,7 @@ struct AnalyzeArgs {
 constexpr Flag<AnalyzeArgs> kAnalyzeFlags[] = {
     {"--annotations", &AnalyzeArgs::annotations},
     {"--trace-out", &AnalyzeArgs::trace_out},
+    {"--folded", &AnalyzeArgs::folded_out},
     {"--journal", &AnalyzeArgs::journal_out},
     {"--stats", &AnalyzeArgs::stats},
     {"--format", &AnalyzeArgs::format},
@@ -445,14 +450,14 @@ int CmdAnalyze(const std::vector<std::string>& args) {
     return 2;
   }
 
-  // Observability is opt-in: the journal only behind --journal or
-  // --trace-out (the trace is rendered from it), the metrics registry only
-  // when --stats or the trace's counter tracks surface it, armed lock probes
-  // only behind --journal.
+  // Observability is opt-in: the journal only behind --journal, --trace-out
+  // or --folded (the trace and the folded stacks are rendered from it), the
+  // metrics registry only when --stats or the trace's counter tracks
+  // surface it.
   sash::obs::Session session({.trace_out = cli.trace_out,
                               .journal_out = cli.journal_out,
-                              .metrics = cli.stats || !cli.trace_out.empty(),
-                              .arm_lock_probes = !cli.journal_out.empty()});
+                              .folded_out = cli.folded_out,
+                              .metrics = cli.stats || !cli.trace_out.empty()});
   batch.obs = session.hooks();
 
   sash::batch::BatchResult result;
@@ -598,9 +603,11 @@ int CmdMine(const std::vector<std::string>& args) {
   if (!ParseFlags("mine", args, &operands)) {
     return 2;
   }
-  const std::string command = operands.empty() ? std::string() : operands.back();
-  if (!command.empty()) {
-    sash::mining::MiningOutcome o = sash::mining::MineCommand(command);
+  if (operands.size() > 1) {
+    return Usage();
+  }
+  if (!operands.empty()) {
+    sash::mining::MiningOutcome o = sash::mining::MineCommand(operands.front());
     if (!o.ok) {
       std::fprintf(stderr, "sash mine: %s\n", o.error.c_str());
       return 1;
@@ -617,66 +624,8 @@ int CmdMine(const std::vector<std::string>& args) {
   return 0;
 }
 
-// `sash profile`: run a batch under full instrumentation — armed lock
-// probes, event journal, metrics — and leave three artifacts behind: the
-// journal (sash-events-v1 JSONL), and two views of it, a Chrome trace with
-// per-worker lanes and counter tracks, and a collapsed-stack file for
-// flamegraph tools. The contention/utilization summary prints to stdout.
-struct ProfileArgs {
-  std::string journal_out = "sash-journal.jsonl";
-  std::string trace_out = "sash-trace.json";
-  std::string folded_out = "sash-profile.folded";
-};
-
-constexpr Flag<ProfileArgs> kProfileFlags[] = {
-    {"--journal", &ProfileArgs::journal_out},
-    {"--trace-out", &ProfileArgs::trace_out},
-    {"--folded", &ProfileArgs::folded_out},
-};
-
-int CmdProfile(const std::vector<std::string>& args) {
-  BatchOptions batch;
-  ProfileArgs cli;
-  std::vector<std::string> inputs;
-  if (!ParseFlags("profile", args, &inputs, FlagGroup{kJobsAndCacheFlags, &batch},
-                  FlagGroup{kProfileFlags, &cli})) {
-    return 2;
-  }
-  if (inputs.empty()) {
-    return Usage();
-  }
-  if (cli.journal_out.empty() || cli.trace_out.empty() || cli.folded_out.empty()) {
-    std::fprintf(stderr, "sash profile: --journal, --trace-out and --folded need a path\n");
-    return 2;
-  }
-  std::vector<std::string> files = sash::batch::ExpandInputs(inputs);
-  if (files.empty()) {
-    std::fprintf(stderr, "sash profile: no .sh files found under the given inputs\n");
-    return 2;
-  }
-
-  sash::obs::Session session({.trace_out = cli.trace_out,
-                              .journal_out = cli.journal_out,
-                              .metrics = true,
-                              .arm_lock_probes = true});
-  batch.obs = session.hooks();
-
-  sash::batch::BatchDriver driver(batch);
-  sash::batch::BatchResult result = driver.Run(files);
-
-  const bool io_ok = session.Finish("sash profile", cli.folded_out);
-
-  sash::obs::JournalSummary summary = sash::obs::SummarizeEvents(session.journal()->Drain());
-  std::printf("profiled %zu file(s), jobs=%d\n", result.files.size(),
-              batch.jobs > 0 ? batch.jobs : 0);
-  std::printf("%s", sash::obs::FormatReport(summary).c_str());
-  std::printf("artifacts: %s, %s, %s\n", cli.journal_out.c_str(), cli.trace_out.c_str(),
-              cli.folded_out.c_str());
-  return io_ok ? result.ExitCode() : 2;
-}
-
-// `sash report`: aggregate profiling/bench artifacts into a human summary.
-// A --journal file yields the contention/worker/phase report; sash-batch-v1
+// `sash report`: aggregate journal/bench artifacts into a human summary.
+// A --journal file yields the worker/phase/run report; sash-batch-v1
 // and sash-bench-v1 JSON documents are summarized after it.
 struct ReportArgs {
   std::string journal;
@@ -929,10 +878,10 @@ constexpr struct {
   std::string_view name;
   int (*run)(const std::vector<std::string>& args);
 } kVerbs[] = {
-    {"analyze", CmdAnalyze}, {"lint", CmdLint},       {"run", CmdRun},
-    {"verify", CmdVerify},   {"mine", CmdMine},       {"profile", CmdProfile},
-    {"report", CmdReport},   {"serve", CmdServe},     {"typeof", CmdTypeof},
-    {"version", CmdVersion}, {"--version", CmdVersion},
+    {"analyze", CmdAnalyze}, {"lint", CmdLint},     {"run", CmdRun},
+    {"verify", CmdVerify},   {"mine", CmdMine},     {"report", CmdReport},
+    {"serve", CmdServe},     {"typeof", CmdTypeof}, {"version", CmdVersion},
+    {"--version", CmdVersion},
 };
 
 }  // namespace
