@@ -2,7 +2,9 @@
 // without annotations is monitoring overhead". Run the same pipeline with
 // monitoring off / gradual (untyped-adjacent only) / full, over growing
 // inputs, and report the overhead factor and throughput. The unmonitored
-// 10k-line cost per line is gated in bench/baseline.json.
+// 10k-line cost per line and the full-monitor overhead on the 100-line row
+// (where the per-run type check, not the line scan, dominates) are gated in
+// bench/baseline.json.
 #include <chrono>
 
 #include "bench_util.h"
@@ -72,6 +74,9 @@ void PrintResult() {
                     std::to_string(static_cast<long>(off)), MegabytesPerSecond(bytes, off),
                     std::to_string(static_cast<long>(all)), MegabytesPerSecond(bytes, all),
                     overhead, std::to_string(checked_all)});
+    if (lines == 100) {
+      sash::bench::Metric("t6.full_overhead_x100_100", static_cast<int64_t>(all / off * 100.0));
+    }
     if (lines == 10000) {
       sash::bench::Metric("t6.unmonitored_ns_per_line_10k",
                           static_cast<int64_t>(off * 1000.0 / lines));

@@ -352,6 +352,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     metrics->counter("analyzer.findings")->Add(static_cast<int64_t>(report.findings_.size()));
     // Hot-path gauges are process-wide (interner and pattern cache are
     // shared across analyses), so publish current totals rather than deltas.
+    // The dfa_cache pair counts derived-language and inclusion lookups too.
     metrics->gauge("hotpath.intern.size")
         ->Max(static_cast<int64_t>(util::Interner::size()));
     metrics->gauge("hotpath.dfa_cache.hits")

@@ -12,10 +12,11 @@ namespace sash::regex {
 
 namespace {
 
-// See PatternCache in regex.h. Keys are domain-hashed ("p", "s", "g" salted
-// into the content hash) because the three constructors give the same
-// pattern text different languages. Values are Regex copies; copying shares
-// the LazyDfa.
+// See PatternCache in regex.h. Keys are domain-hashed (a domain byte salted
+// into the content hash) because different constructors give the same key
+// bytes different meanings: "p", "s", "g" and "l" key source text, the
+// derived domains (see DerivedKey) key operand language ids. Values are Regex
+// copies (copying shares the LazyDfa) or, for inclusion, a verdict.
 //
 // Structure (the interner's lock-free idiom, with Regex payloads): entries
 // are append-only in fixed slabs, reached through an open-addressed index of
@@ -30,7 +31,8 @@ namespace {
 struct PatternEntry {
   std::string key;  // domain byte + ':' + pattern (exact-match confirmation).
   uint64_t hash = 0;
-  std::optional<Regex> regex;
+  std::optional<Regex> regex;  // Every domain but kIncludedIn.
+  bool verdict = false;        // kIncludedIn only.
 };
 
 struct PatternIndex {
@@ -138,30 +140,43 @@ PatternCacheImpl& pattern_cache() {
   return *c;
 }
 
-std::optional<Regex> PatternCacheLookup(char domain, std::string_view pattern) {
+// Lock-free: the live generation's entry for (domain, key), or null. Entries
+// are never freed, so the pointer stays valid for the process lifetime.
+const PatternEntry* PatternCacheFind(char domain, std::string_view key) {
   PatternCacheImpl& c = pattern_cache();
   PatternStore& s = *c.store.load(std::memory_order_acquire);
-  uint32_t v = s.Probe(domain, pattern, PatternStore::KeyHash(domain, pattern));
+  uint32_t v = s.Probe(domain, key, PatternStore::KeyHash(domain, key));
   if (v == 0) {
     c.misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   c.hits.fetch_add(1, std::memory_order_relaxed);
-  return *s.EntryFor(v - 1).regex;
+  return &s.EntryFor(v - 1);
 }
 
-void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex) {
+std::optional<Regex> PatternCacheLookup(char domain, std::string_view key) {
+  const PatternEntry* e = PatternCacheFind(domain, key);
+  if (e == nullptr) {
+    return std::nullopt;
+  }
+  return *e->regex;
+}
+
+// Inserts (domain, key) and lets `fill` set the payload before the entry is
+// published. A no-op when the key is already there or the store is full.
+template <typename Fill>
+void PatternCacheInsert(char domain, std::string_view key, Fill fill) {
   PatternCacheImpl& c = pattern_cache();
-  uint64_t hash = PatternStore::KeyHash(domain, pattern);
+  uint64_t hash = PatternStore::KeyHash(domain, key);
   std::lock_guard<std::mutex> lock(c.mu);
   // The live generation only changes under mu, which we hold.
   PatternStore& s = *c.store.load(std::memory_order_relaxed);
-  if (s.Probe(domain, pattern, hash) != 0) {
-    return;  // A racing compiler of the same pattern beat us; theirs wins.
+  if (s.Probe(domain, key, hash) != 0) {
+    return;  // A racing compiler of the same key beat us; theirs wins.
   }
   uint32_t id = s.count.load(std::memory_order_relaxed);
   if (id >= PatternStore::kMaxEntries) {
-    return;  // Full: later patterns compile uncached rather than evicting.
+    return;  // Full: later keys compute uncached rather than evicting.
   }
   PatternIndex* idx = s.EnsureRoom();
   PatternEntry* slab = s.slabs[id / PatternStore::kSlabSize].load(std::memory_order_relaxed);
@@ -171,12 +186,12 @@ void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex
     s.slabs[id / PatternStore::kSlabSize].store(slab, std::memory_order_release);
   }
   PatternEntry& e = slab[id % PatternStore::kSlabSize];
-  e.key.reserve(pattern.size() + 2);
+  e.key.reserve(key.size() + 2);
   e.key = domain;
   e.key += ':';
-  e.key += pattern;
+  e.key += key;
   e.hash = hash;
-  e.regex = regex;
+  fill(e);
   size_t i = hash & idx->mask;
   while (idx->slots[i].load(std::memory_order_relaxed) != 0) {
     i = (i + 1) & idx->mask;
@@ -187,6 +202,45 @@ void PatternCacheStore(char domain, std::string_view pattern, const Regex& regex
   s.count.store(id + 1, std::memory_order_release);
   idx->slots[i].store(id + 1, std::memory_order_release);
 }
+
+void PatternCacheStore(char domain, std::string_view key, const Regex& regex) {
+  PatternCacheInsert(domain, key, [&regex](PatternEntry& e) { e.regex = regex; });
+}
+
+// Language ids count up from 1 and are never reused.
+std::atomic<uint64_t> next_language_id{1};
+
+// Domains of languages derived from other languages, and of inclusion
+// verdicts. Their keys are the operands' language ids (Regex::LazyDfa::id),
+// which are never reused, so a key names one result for the whole process
+// even after an operand is gone.
+constexpr char kConcat = 'c';
+constexpr char kIntersect = 'i';
+constexpr char kComplement = '!';
+constexpr char kIncludedIn = '<';
+
+// The operand ids as LEB128 varints: a short key that needs no allocation to
+// probe (a pair of ids below 2^35 takes at most ten bytes).
+class DerivedKey {
+ public:
+  explicit DerivedKey(uint64_t a) { Put(a); }
+  DerivedKey(uint64_t a, uint64_t b) {
+    Put(a);
+    Put(b);
+  }
+  std::string_view view() const { return std::string_view(buf_, len_); }
+
+ private:
+  void Put(uint64_t v) {
+    while (v >= 0x80) {
+      buf_[len_++] = static_cast<char>((v & 0x7f) | 0x80);
+      v >>= 7;
+    }
+    buf_[len_++] = static_cast<char>(v);
+  }
+  char buf_[20];
+  size_t len_ = 0;
+};
 
 }  // namespace
 
@@ -218,9 +272,9 @@ void PatternCacheStoreGlob(std::string_view pattern, const Regex& regex) {
 }
 
 struct Regex::LazyDfa {
-  std::once_flag once;
-  std::optional<Dfa> dfa;      // Built on demand from the AST.
-  std::optional<Dfa> direct;   // Set when constructed from a DFA.
+  const uint64_t id = next_language_id.fetch_add(1, std::memory_order_relaxed);
+  std::once_flag once;  // Run by the DFA constructor, or by the first dfa().
+  std::optional<Dfa> dfa;
 };
 
 Regex::Regex(std::string pattern, NodePtr ast)
@@ -228,7 +282,7 @@ Regex::Regex(std::string pattern, NodePtr ast)
 
 Regex::Regex(std::string pattern, Dfa dfa)
     : pattern_(std::move(pattern)), lazy_(std::make_shared<LazyDfa>()) {
-  lazy_->direct = std::move(dfa);
+  std::call_once(lazy_->once, [&] { lazy_->dfa = std::move(dfa); });
 }
 
 std::optional<Regex> Regex::FromPattern(std::string_view pattern, std::string* error_out) {
@@ -286,19 +340,30 @@ std::optional<Regex> Regex::FromSearchPattern(std::string_view pattern, std::str
 }
 
 Regex Regex::Literal(std::string_view text) {
-  NodePtr node = MakeLiteral(text);
-  std::string pattern = ToPattern(node);
-  return Regex(std::move(pattern), std::move(node));
+  if (std::optional<Regex> cached = PatternCacheLookup('l', text)) {
+    return *cached;
+  }
+  Regex regex = FromAst(MakeLiteral(text));
+  PatternCacheStore('l', text, regex);
+  return regex;
 }
 
+// The three constant languages are one process-wide value each (never
+// freed, like the cache), so their DFAs are built once.
 Regex Regex::AnyLine() {
-  NodePtr node = MakeStar(MakeChars(CharSet::AnyExceptNewline()));
-  return Regex(".*", std::move(node));
+  static const Regex* any = new Regex(".*", MakeStar(MakeChars(CharSet::AnyExceptNewline())));
+  return *any;
 }
 
-Regex Regex::Nothing() { return Regex("[]", MakeEmpty()); }
+Regex Regex::Nothing() {
+  static const Regex* nothing = new Regex("[]", MakeEmpty());
+  return *nothing;
+}
 
-Regex Regex::Epsilon() { return Regex("()", MakeEpsilon()); }
+Regex Regex::Epsilon() {
+  static const Regex* epsilon = new Regex("()", MakeEpsilon());
+  return *epsilon;
+}
 
 Regex Regex::FromAst(NodePtr node) {
   std::string pattern = ToPattern(node);
@@ -306,9 +371,6 @@ Regex Regex::FromAst(NodePtr node) {
 }
 
 const Dfa& Regex::dfa() const {
-  if (lazy_->direct.has_value()) {
-    return *lazy_->direct;
-  }
   std::call_once(lazy_->once, [this] { lazy_->dfa = Dfa::FromAst(ast_).Minimize(); });
   return *lazy_->dfa;
 }
@@ -316,9 +378,14 @@ const Dfa& Regex::dfa() const {
 bool Regex::Matches(std::string_view input) const { return dfa().Accepts(input); }
 
 Regex Regex::Intersect(const Regex& other) const {
+  DerivedKey key(lazy_->id, other.lazy_->id);
+  if (std::optional<Regex> cached = PatternCacheLookup(kIntersect, key.view())) {
+    return *cached;
+  }
   Dfa product = dfa().Intersect(other.dfa()).Minimize();
-  std::string pattern = "(" + pattern_ + ")&(" + other.pattern_ + ")";
-  return Regex(std::move(pattern), std::move(product));
+  Regex result("(" + pattern_ + ")&(" + other.pattern_ + ")", std::move(product));
+  PatternCacheStore(kIntersect, key.view(), result);
+  return result;
 }
 
 Regex Regex::Union(const Regex& other) const {
@@ -332,19 +399,29 @@ Regex Regex::Union(const Regex& other) const {
 }
 
 Regex Regex::Concat(const Regex& other) const {
-  if (ast_ != nullptr && other.ast_ != nullptr) {
-    return FromAst(MakeConcat2(ast_, other.ast_));
+  DerivedKey key(lazy_->id, other.lazy_->id);
+  if (std::optional<Regex> cached = PatternCacheLookup(kConcat, key.view())) {
+    return *cached;
   }
-  // At least one side exists only as an automaton (e.g. a complement); compose
-  // at the NFA level and re-determinize.
-  Nfa combined = ConcatNfa(dfa().ToNfa(), other.dfa().ToNfa());
-  Dfa result = Dfa::FromNfa(combined).Minimize();
-  return Regex("(" + pattern_ + ")(" + other.pattern_ + ")", std::move(result));
+  // When a side exists only as an automaton (e.g. a complement), compose at
+  // the NFA level and re-determinize.
+  Regex result =
+      ast_ != nullptr && other.ast_ != nullptr
+          ? FromAst(MakeConcat2(ast_, other.ast_))
+          : Regex("(" + pattern_ + ")(" + other.pattern_ + ")",
+                  Dfa::FromNfa(ConcatNfa(dfa().ToNfa(), other.dfa().ToNfa())).Minimize());
+  PatternCacheStore(kConcat, key.view(), result);
+  return result;
 }
 
 Regex Regex::Complement() const {
-  Dfa complement = dfa().Complement().Minimize();
-  return Regex("!(" + pattern_ + ")", std::move(complement));
+  DerivedKey key(lazy_->id);
+  if (std::optional<Regex> cached = PatternCacheLookup(kComplement, key.view())) {
+    return *cached;
+  }
+  Regex result("!(" + pattern_ + ")", dfa().Complement().Minimize());
+  PatternCacheStore(kComplement, key.view(), result);
+  return result;
 }
 
 Regex Regex::Star() const {
@@ -359,9 +436,20 @@ bool Regex::IsEmptyLanguage() const { return dfa().IsEmptyLanguage(); }
 
 bool Regex::IsUniversal() const { return dfa().IsUniversal(); }
 
-bool Regex::IncludedIn(const Regex& other) const { return dfa().IncludedIn(other.dfa()); }
+bool Regex::IncludedIn(const Regex& other) const {
+  DerivedKey key(lazy_->id, other.lazy_->id);
+  if (const PatternEntry* e = PatternCacheFind(kIncludedIn, key.view())) {
+    return e->verdict;
+  }
+  bool included = dfa().IncludedIn(other.dfa());
+  PatternCacheInsert(kIncludedIn, key.view(), [included](PatternEntry& e) { e.verdict = included; });
+  return included;
+}
 
-bool Regex::EquivalentTo(const Regex& other) const { return dfa().EquivalentTo(other.dfa()); }
+// Two memoized inclusions, so each direction is decided once per pair.
+bool Regex::EquivalentTo(const Regex& other) const {
+  return IncludedIn(other) && other.IncludedIn(*this);
+}
 
 std::optional<std::string> Regex::Witness() const { return dfa().ShortestWitness(); }
 

@@ -20,22 +20,26 @@
 
 namespace sash::regex {
 
-// Process-wide memoization of compiled patterns (FromPattern,
-// FromSearchPattern, and glob.h's GlobLanguage). A cache hit returns a copy
-// of the cached Regex, which shares its lazily-built minimal DFA — so each
-// distinct pattern is parsed once and determinized at most once per process.
-// Entries are immutable (a pattern IS its language), so there is no
-// invalidation: the cache only grows, capped at a fixed entry count after
-// which new patterns compile uncached.
+// Process-wide memoization of regular languages: compiled patterns
+// (FromPattern, FromSearchPattern, glob.h's GlobLanguage), literals, the
+// derived languages of Concat/Intersect/Complement, and IncludedIn verdicts.
+// Every Regex carries a process-unique language id, shared by its copies;
+// derived entries are keyed by (operation, operand ids), so the language
+// built from the same operands is built once and every later build returns
+// a copy of it, sharing its lazily-built minimal DFA. Ids are never reused
+// and entries live for the process lifetime, so a key names one language
+// (or one verdict) forever — even when an operand was an uncached temporary.
+// Entries are immutable, so there is no invalidation: the cache only grows,
+// capped at a fixed entry count after which new keys compute uncached.
+// Hits() and Misses() count every lookup, derived ones included.
 //
 // Concurrency: lookups are lock-free. Entries live in append-only slabs and
 // are reached through an open-addressed index published via release stores
 // (the same idiom as the string interner), so parallel batch workers — whose
-// pattern working sets converge after the first few scripts — hit the cache
-// without ever touching a mutex. Only a genuine insertion takes the writer
-// lock (the "regex.pattern_cache" probe site), and insertion is rare by
-// construction: it happens once per distinct pattern per process, right
-// after an expensive parse.
+// working sets converge after the first few scripts — hit the cache without
+// ever touching a mutex. Only a genuine insertion takes the writer lock, and
+// insertion is rare by construction: it happens once per distinct key per
+// process, right after the expensive parse or automaton construction.
 class PatternCache {
  public:
   static uint64_t Hits();
@@ -106,7 +110,8 @@ class Regex {
 
   std::string pattern_;
   NodePtr ast_;  // May be null when the language only exists as a DFA.
-  // Shared so copies of a Regex reuse one lazily-built DFA.
+  // Shared so copies of a Regex reuse one lazily-built DFA and one language
+  // id (the key of the derived languages in PatternCache).
   struct LazyDfa;
   std::shared_ptr<LazyDfa> lazy_;
 };

@@ -84,7 +84,7 @@ TEST(InternTest, ConcurrentInterningIsConsistent) {
 }
 
 struct DtorCounter {
-  explicit DtorCounter(int* counter) : counter(counter) {}
+  explicit DtorCounter(int* destroyed) : counter(destroyed) {}
   ~DtorCounter() { ++*counter; }
   int* counter;
   std::string payload = "owns heap memory";

@@ -334,6 +334,81 @@ TEST(Dfa, IncrementalSteppingAndDeadStates) {
   EXPECT_TRUE(dfa.IsDeadState(s));  // No recovery after "abb".
 }
 
+// ---- Hash-consing: one identity per language, derived once per process ----
+
+TEST(HashCons, ConstantsAndLiteralsShareOneDfa) {
+  EXPECT_EQ(&Regex::AnyLine().dfa(), &Regex::AnyLine().dfa());
+  EXPECT_EQ(&Regex::Nothing().dfa(), &Regex::Nothing().dfa());
+  EXPECT_EQ(&Regex::Epsilon().dfa(), &Regex::Epsilon().dfa());
+  EXPECT_EQ(&Regex::Literal("hash-cons").dfa(), &Regex::Literal("hash-cons").dfa());
+  // A literal and a pattern of the same text are keyed apart.
+  EXPECT_FALSE(Regex::Literal("a.b").Matches("axb"));
+  EXPECT_TRUE(Rx("a.b").Matches("axb"));
+}
+
+TEST(HashCons, DerivedLanguagesAreBuiltOnce) {
+  Regex a = Rx("[ab]+");
+  Regex b = Rx("b[bc]*");
+  EXPECT_EQ(&a.Concat(b).dfa(), &a.Concat(b).dfa());
+  EXPECT_EQ(&a.Intersect(b).dfa(), &a.Intersect(b).dfa());
+  EXPECT_EQ(&a.Complement().dfa(), &a.Complement().dfa());
+  // Both operands and their order are part of the key.
+  EXPECT_TRUE(a.Concat(b).Matches("ab"));
+  EXPECT_FALSE(b.Concat(a).Matches("ab"));
+  EXPECT_TRUE(a.Concat(Rx("c+")).Matches("ac"));
+  EXPECT_FALSE(a.Concat(Rx("c+")).Matches("ab"));
+  EXPECT_TRUE(a.Intersect(Rx("a+")).Matches("aa"));
+  EXPECT_FALSE(a.Intersect(Rx("a+")).Matches("b"));
+  // Complement-derived operands take the automaton path of Concat.
+  Regex not_a = a.Complement();
+  EXPECT_EQ(&not_a.Concat(b).dfa(), &not_a.Concat(b).dfa());
+  EXPECT_TRUE(not_a.Concat(b).Matches("cb"));
+  // Inclusion verdicts are memoized per ordered pair.
+  EXPECT_TRUE(Rx("b+").IncludedIn(a));
+  EXPECT_FALSE(a.IncludedIn(Rx("b+")));
+  EXPECT_TRUE(Rx("b+").IncludedIn(a));
+  EXPECT_FALSE(a.IncludedIn(Rx("b+")));
+  // A second derivation adds no entries.
+  EXPECT_FALSE(a.IncludedIn(b));
+  size_t size = PatternCache::Size();
+  a.Concat(b);
+  a.Intersect(b);
+  a.Complement();
+  a.IncludedIn(b);
+  EXPECT_EQ(PatternCache::Size(), size);
+}
+
+// Once the cache holds its 8,192 entries, new keys are computed uncached:
+// the answers stay right and the cache stops growing.
+TEST(HashCons, FullCacheStillAnswersCorrectly) {
+  PatternCache::Clear();
+  for (int i = 0; PatternCache::Size() < 8192; ++i) {
+    Regex::Literal("filler-" + std::to_string(i));
+    ASSERT_LT(i, 10000);
+  }
+  Regex a = Regex::Literal("full-a").Concat(Rx("[0-9]+"));
+  Regex b = Rx("full-[a-z]+[0-9]*");
+  EXPECT_EQ(PatternCache::Size(), 8192u);
+  Regex cat = a.Concat(b);
+  EXPECT_TRUE(cat.Matches("full-a12full-x"));
+  EXPECT_FALSE(cat.Matches("full-a12"));
+  EXPECT_NE(&cat.dfa(), &a.Concat(b).dfa());  // Uncached: built again.
+  EXPECT_TRUE(cat.dfa().EquivalentTo(a.Concat(b).dfa()));
+  Regex both = a.Intersect(b);
+  EXPECT_TRUE(both.dfa().EquivalentTo(a.dfa().Intersect(b.dfa())));
+  EXPECT_TRUE(both.Matches("full-a7"));
+  Regex not_a = a.Complement();
+  EXPECT_TRUE(not_a.dfa().EquivalentTo(a.dfa().Complement()));
+  EXPECT_FALSE(not_a.Matches("full-a7"));
+  EXPECT_TRUE(a.IncludedIn(b));
+  EXPECT_TRUE(a.IncludedIn(b));
+  EXPECT_FALSE(b.IncludedIn(a));
+  EXPECT_TRUE(a.EquivalentTo(a));
+  EXPECT_EQ(PatternCache::Size(), 8192u);
+  PatternCache::Clear();
+  EXPECT_EQ(PatternCache::Size(), 0u);
+}
+
 // Property sweep: for random-ish pattern pairs, algebraic identities hold.
 class RegexAlgebra : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
 

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <thread>
+
+#include "regex/nfa.h"
 #include "rtypes/types.h"
+#include "stream/pipeline.h"
+#include "syntax/parser.h"
 
 namespace sash::rtypes {
 namespace {
@@ -149,6 +155,150 @@ TEST(CommandType, DisplayStrings) {
   mono.input = TypeExpr::Lang(regex::Regex::AnyLine());
   mono.output = TypeExpr::Lang(Rx("desc.*"));
   EXPECT_EQ(mono.ToString(), ".* → desc.*");
+}
+
+// ---- Hash-consed languages on the typing path ----
+
+// A seeded set of small patterns: one to three atoms, drawn with the raw
+// mt19937 stream (its output is fixed by the standard, unlike distributions).
+std::vector<regex::Regex> SeededPatterns(uint32_t seed, int count) {
+  static const char* kAtoms[] = {"a",      "b+",    "0x",       "[0-9a-f]+", "\\d+",
+                                 ".*",     "[a-z]*", "(ab|c)",  "/",         "x?",
+                                 ":\\t", "-",     "[^/\\n]+", " *",       "Desc"};
+  constexpr uint32_t kNumAtoms = sizeof(kAtoms) / sizeof(kAtoms[0]);
+  std::mt19937 rng(seed);
+  std::vector<regex::Regex> out;
+  for (int i = 0; i < count; ++i) {
+    std::string pattern;
+    for (uint32_t n = 1 + rng() % 3; n > 0; --n) {
+      pattern += kAtoms[rng() % kNumAtoms];
+    }
+    out.push_back(Rx(pattern.c_str()));
+  }
+  return out;
+}
+
+// The memoized Regex algebra answers what the direct Dfa algebra answers,
+// on the first (computing) and the second (cached) call alike.
+TEST(HashCons, MemoizedAlgebraAgreesWithDirectDfaAlgebra) {
+  TypeLibrary lib = TypeLibrary::Default();
+  std::vector<regex::Regex> patterns = SeededPatterns(20241019, 12);
+  for (const std::string& name : lib.Names()) {
+    const regex::Regex& l = *lib.Find(name);
+    const regex::Dfa not_l = l.dfa().Complement();
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_TRUE(l.Complement().dfa().EquivalentTo(not_l)) << name;
+      for (const regex::Regex& p : patterns) {
+        SCOPED_TRACE(name + " / " + p.pattern());
+        EXPECT_TRUE(l.Concat(p).dfa().EquivalentTo(
+            regex::Dfa::FromNfa(regex::ConcatNfa(l.dfa().ToNfa(), p.dfa().ToNfa()))));
+        EXPECT_TRUE(l.Complement().Concat(p).dfa().EquivalentTo(
+            regex::Dfa::FromNfa(regex::ConcatNfa(not_l.ToNfa(), p.dfa().ToNfa()))));
+        EXPECT_TRUE(l.Intersect(p).dfa().EquivalentTo(l.dfa().Intersect(p.dfa())));
+        EXPECT_TRUE(p.Intersect(l).dfa().EquivalentTo(p.dfa().Intersect(l.dfa())));
+        EXPECT_EQ(l.IncludedIn(p), l.dfa().IncludedIn(p.dfa()));
+        EXPECT_EQ(p.IncludedIn(l), p.dfa().IncludedIn(l.dfa()));
+        EXPECT_EQ(l.EquivalentTo(p), l.dfa().EquivalentTo(p.dfa()));
+      }
+    }
+  }
+}
+
+const char* const kPipelines[] = {
+    "lsb_release -a | grep '^desc' | cut -f 2",
+    "grep -o '[0-9a-f]+' f | sed 's/^/0x/' | sort -g",
+    "cat f | grep -v x | uniq -c | sort -n",
+    "grep -F 'a.b' f | sed 's/$/;/' | wc -l",
+    "echo hello | grep h | tr a-z A-Z | cut -d : -f 1",
+};
+
+// A pipeline checked again derives nothing new: the cache does not grow, and
+// every stage's languages are the first check's (one DFA each).
+TEST(HashCons, SecondCheckAddsNoEntriesAndSharesDfas) {
+  stream::PipelineChecker checker;
+  for (const char* src : kPipelines) {
+    SCOPED_TRACE(src);
+    syntax::ParseOutput parsed = syntax::Parse(src);
+    ASSERT_TRUE(parsed.ok());
+    const syntax::Command& pipe = *parsed.program.body;
+    stream::PipelineReport first = checker.Check(pipe);
+    size_t size = regex::PatternCache::Size();
+    stream::PipelineReport second = checker.Check(pipe);
+    EXPECT_EQ(regex::PatternCache::Size(), size);
+    ASSERT_EQ(first.stages.size(), second.stages.size());
+    for (size_t i = 0; i < first.stages.size(); ++i) {
+      const stream::StageReport& a = first.stages[i];
+      const stream::StageReport& b = second.stages[i];
+      ASSERT_EQ(a.output_lang.has_value(), b.output_lang.has_value());
+      if (a.output_lang.has_value()) {
+        EXPECT_EQ(&a.output_lang->dfa(), &b.output_lang->dfa()) << "stage " << i;
+      }
+      ASSERT_EQ(a.input_expect.has_value(), b.input_expect.has_value());
+      if (a.input_expect.has_value()) {
+        EXPECT_EQ(&a.input_expect->dfa(), &b.input_expect->dfa()) << "stage " << i;
+      }
+    }
+    EXPECT_EQ(&first.final_output->dfa(), &second.final_output->dfa());
+  }
+}
+
+// Everything a check observes, as text: equal strings mean equal answers.
+std::string Fingerprint(const stream::PipelineReport& report) {
+  std::string out;
+  for (const stream::StageReport& s : report.stages) {
+    out += s.command + " :: " + s.type_display.value_or("untyped") + " -> " + s.output_pattern +
+           (s.killed_stream ? " dead" : "") + (s.type_error ? " error " + s.error : "") + "\n";
+  }
+  out += report.final_output->IsEmptyLanguage() ? "final empty\n" : "final live\n";
+  return out;
+}
+
+// Threads that check the same pipelines and apply the same types race to
+// insert the same derived languages; every thread must see the same answers.
+// Runs under the SanitizeThread preset (label concurrency).
+TEST(HashCons, ConcurrentChecksAgree) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<syntax::ParseOutput> parsed;
+  for (const char* src : kPipelines) {
+    parsed.push_back(syntax::Parse(src));
+    ASSERT_TRUE(parsed.back().ok()) << src;
+  }
+  TypeLibrary lib = TypeLibrary::Default();
+  CommandType sed;
+  sed.polymorphic = true;
+  sed.input = TypeExpr::Var();
+  sed.output = TypeExpr::Concat({TypeExpr::Prefix("0x"), TypeExpr::Var()});
+  CommandType sort_g;
+  sort_g.polymorphic = true;
+  sort_g.bound = Rx("0x[0-9a-f]+.*");
+  sort_g.input = TypeExpr::Var();
+  sort_g.output = TypeExpr::Var();
+  regex::PatternCache::Clear();
+  std::vector<std::string> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      stream::PipelineChecker checker;
+      std::string& out = seen[static_cast<size_t>(t)];
+      for (int round = 0; round < kRounds; ++round) {
+        for (const syntax::ParseOutput& p : parsed) {
+          out += Fingerprint(checker.Check(*p.program.body));
+        }
+        for (const std::string& name : lib.Names()) {
+          ApplyResult hex = Apply(sort_g, Apply(sed, *lib.Find(name)).output.value());
+          out += name + (hex.ok ? " sorts " + hex.output->pattern() : " " + hex.error) + "\n";
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<size_t>(t)], seen[0]) << "thread " << t;
+  }
+  EXPECT_NE(seen[0].find("dead"), std::string::npos);  // Fig. 5 is among them.
 }
 
 }  // namespace
