@@ -1,6 +1,8 @@
 // Experiment T8 (§5 security): curl ... | verify --no-RW ~/mine | sh.
-// A benign installer and three attack variants under the policy verifier:
-// static detection where paths are static, runtime guarding otherwise.
+// A benign installer and five attack variants under the policy verifier:
+// symex's static detection wherever it can derive a path, runtime guarding
+// otherwise. Fig. 1 and `rm -rf /*` need no policy: root deletion is always
+// refused.
 #include "bench_util.h"
 #include "monitor/guard.h"
 #include "syntax/parser.h"
@@ -22,6 +24,10 @@ const Installer kInstallers[] = {
      "t=$(echo /home/user/mine)\nrm -rf \"$t\"\n", true},
     {"read-exfiltration",
      "cat /home/user/mine/secret.key\n", true},
+    {"fig1-steam-updater",
+     "STEAMROOT=\"$(cd \"${0%/*}\" && echo \"$PWD\")\"\nrm -rf \"$STEAMROOT/\"*\n", true},
+    {"root-glob",
+     "rm -rf /*\n", true},
 };
 
 void PrintResult() {
@@ -30,7 +36,7 @@ void PrintResult() {
       {"installer", "static findings", "runtime guard", "data intact", "verdict correct"});
   for (const Installer& inst : kInstallers) {
     sash::syntax::ParseOutput parsed = sash::syntax::Parse(inst.script);
-    sash::monitor::EffectPolicy policy;
+    sash::symex::EffectPolicy policy;
     policy.no_write = {"/home/user/mine"};
     policy.no_read = {"/home/user/mine"};
     sash::fs::FileSystem fs;
@@ -51,20 +57,24 @@ void PrintResult() {
       rows);
 }
 
+// verify's static half (a symex run with the policy) on the static-write
+// attack; the script is not executed.
 void BM_VerifyStaticOnly(benchmark::State& state) {
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(kInstallers[1].script);
-  sash::monitor::EffectPolicy policy;
+  sash::symex::EffectPolicy policy;
   policy.no_write = {"/home/user/mine"};
+  sash::fs::FileSystem fs;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sash::monitor::CheckPolicyStatically(parsed.program, policy).size());
+    sash::monitor::VerifyReport report = sash::monitor::Verify(
+        parsed.program, policy, &fs, sash::monitor::InterpOptions{}, /*execute=*/false);
+    benchmark::DoNotOptimize(report.static_findings.size());
   }
 }
 BENCHMARK(BM_VerifyStaticOnly)->Unit(benchmark::kMicrosecond);
 
 void BM_VerifyGuardedRun(benchmark::State& state) {
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(kInstallers[0].script);
-  sash::monitor::EffectPolicy policy;
+  sash::symex::EffectPolicy policy;
   policy.no_write = {"/home/user/mine"};
   for (auto _ : state) {
     sash::fs::FileSystem fs;

@@ -2,9 +2,9 @@
 //
 //     curl sw.com/up.sh | verify --no-RW ~/mine | sh
 //
-// A benign installer and a trojaned one are "downloaded" and run under the
-// verify policy: static findings where paths are static, a runtime guard for
-// everything else.
+// A benign installer and trojaned ones are "downloaded" and run under the
+// verify policy: the symbolic engine reports every path it can derive before
+// the run, and a runtime guard covers everything else.
 #include <cstdio>
 
 #include "monitor/guard.h"
@@ -35,6 +35,12 @@ cat /home/user/mine/secret.key
 echo 'done'
 )sh";
 
+// Fig. 1: no policy needed, deleting at the root is always refused.
+constexpr const char* kSteamUpdater = R"sh(#!/bin/sh
+STEAMROOT="$(cd "${0%/*}" && echo "$PWD")"
+rm -rf "$STEAMROOT/"*
+)sh";
+
 void RunScenario(const char* title, const char* script) {
   std::printf("==== %s ====\n", title);
   sash::syntax::ParseOutput parsed = sash::syntax::Parse(script);
@@ -43,7 +49,7 @@ void RunScenario(const char* title, const char* script) {
     return;
   }
 
-  sash::monitor::EffectPolicy policy;
+  sash::symex::EffectPolicy policy;
   policy.no_write = {"/home/user/mine"};
   policy.no_read = {"/home/user/mine"};
 
@@ -56,11 +62,10 @@ void RunScenario(const char* title, const char* script) {
       parsed.program, policy, &fs, sash::monitor::InterpOptions{}, /*execute=*/true);
 
   if (report.static_findings.empty()) {
-    std::printf("  static: no definite policy violations (dynamic paths deferred to guard)\n");
+    std::printf("  static: no definite violations (undecided paths deferred to the guard)\n");
   }
-  for (const sash::monitor::StaticPolicyFinding& f : report.static_findings) {
-    std::printf("  static [%s]: %s touches %s\n", f.rule.c_str(), f.command.c_str(),
-                f.path.c_str());
+  for (const sash::Diagnostic& d : report.static_findings) {
+    std::printf("  static: %s\n", d.ToString().c_str());
   }
   if (report.blocked) {
     std::printf("  runtime guard: BLOCKED — %s\n", report.block_reason.c_str());
@@ -76,7 +81,10 @@ void RunScenario(const char* title, const char* script) {
 int main() {
   RunScenario("benign installer", kBenignInstaller);
   RunScenario("attack with static paths (caught before running)", kStaticAttack);
-  RunScenario("attack with dynamic paths (caught by the guard)", kDynamicAttack);
+  RunScenario("attack with a computed path (derived by symex, blocked by the guard)",
+              kDynamicAttack);
   RunScenario("exfiltration via read (caught by --no-read)", kExfiltration);
+  RunScenario("Fig. 1 Steam updater (root glob caught before and during the run)",
+              kSteamUpdater);
   return 0;
 }

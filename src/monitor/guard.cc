@@ -56,242 +56,114 @@ EffectSummary SummarizeEffects(const specs::CommandSpec& spec, const specs::Invo
   return out;
 }
 
-// Expanded "static-ish" text of a word: literals, quotes, and tildes only.
-bool StaticishText(const syntax::Word& word, std::string* out) {
-  std::string text;
-  for (const syntax::WordPart& p : word.parts) {
-    switch (p.kind) {
-      case syntax::WordPartKind::kLiteral:
-      case syntax::WordPartKind::kSingleQuoted:
-        text += p.text;
-        break;
-      case syntax::WordPartKind::kDoubleQuoted:
-        for (const syntax::WordPart& c : p.children) {
-          if (c.kind != syntax::WordPartKind::kLiteral) {
-            return false;
-          }
-          text += c.text;
-        }
-        break;
-      case syntax::WordPartKind::kTilde:
-        text += p.text.empty() ? "/home/user" : "/home/" + p.text;
-        break;
-      case syntax::WordPartKind::kGlobStar:
-        text += "*";
-        break;
-      default:
+// The runtime guard, called before each external command with its argv
+// (globs already resolved) and each argument's word before pathname
+// expansion: predicts the command's effects from the specification library
+// and returns false, with a reason, for a policy violator or a delete at
+// the root. Synthetic "__write__ <path>" argvs guard output redirections.
+bool Allowed(const symex::EffectPolicy& policy, const fs::FileSystem& fs,
+             const std::vector<std::string>& argv, const std::vector<std::string>& pre_glob,
+             std::string* reason) {
+  auto absolutize = [&fs](const std::string& p) { return fs::Absolutize(p, fs.cwd()); };
+  // True (with the reason set) when `path` lies under a protected prefix.
+  auto violates = [&](const std::string& path, bool write, const std::string& action) {
+    for (const std::string& prefix : write ? policy.no_write : policy.no_read) {
+      if (UnderPrefix(path, prefix)) {
+        *reason = (write ? "policy --no-RW " : "policy --no-read ") + prefix + ": blocked " +
+                  action + path;
+        return true;
+      }
+    }
+    return false;
+  };
+
+  if (argv.empty()) {
+    return true;
+  }
+  if (argv[0] == "__write__") {
+    return argv.size() < 2 || !violates(absolutize(argv[1]), /*write=*/true, "write to ");
+  }
+  const specs::CommandSpec* spec = specs::SpecLibrary::BuiltinGroundTruth().Find(argv[0]);
+  if (spec == nullptr) {
+    return true;  // Unknown commands have no modeled effects.
+  }
+  Result<specs::Invocation> inv = specs::ParseInvocation(
+      spec->syntax, std::vector<std::string>(argv.begin() + 1, argv.end()));
+  if (!inv.ok()) {
+    return true;  // The command itself will fail; nothing to guard.
+  }
+  EffectSummary effects = SummarizeEffects(*spec, *inv);
+
+  // Root deletion is judged on the words as written: by the time the
+  // command runs, Fig. 1's "$STEAMROOT/"* has already globbed to /home
+  // /tmp ..., which is no longer a root path.
+  if (effects.deletes) {
+    for (size_t i = 1; i < pre_glob.size(); ++i) {
+      if (!pre_glob[i].empty() && symex::DangerLanguage().Matches(absolutize(pre_glob[i]))) {
+        *reason = "blocked deletion at the file system root (" + argv[0] + " " + pre_glob[i] + ")";
         return false;
+      }
     }
   }
-  *out = std::move(text);
+
+  // Path operands take the command's effects; path-kind flag arguments
+  // (-o file style) are written.
+  const std::string action = argv[0] + " on ";
+  std::vector<const specs::OperandSpec*> slots =
+      specs::AssignOperands(spec->syntax, static_cast<int>(inv->operands.size()));
+  for (size_t i = 0; i < inv->operands.size(); ++i) {
+    if (slots[i] == nullptr || slots[i]->kind != specs::ValueKind::kPath) {
+      continue;
+    }
+    const std::string path = absolutize(inv->operands[i]);
+    if (((effects.deletes || effects.writes) && violates(path, /*write=*/true, action)) ||
+        (effects.reads && violates(path, /*write=*/false, action))) {
+      return false;
+    }
+  }
+  for (const specs::FlagSpec& f : spec->syntax.flags) {
+    if (f.takes_arg && f.arg_kind == specs::ValueKind::kPath) {
+      std::optional<std::string> value = inv->FlagArg(f.letter);
+      if (value.has_value() &&
+          (violates(absolutize(*value), /*write=*/true, action) ||
+           (effects.reads && violates(absolutize(*value), /*write=*/false, action)))) {
+        return false;
+      }
+    }
+  }
   return true;
 }
 
 }  // namespace
 
-Interpreter::CommandHook MakeEffectGuard(const EffectPolicy& policy, const fs::FileSystem* fs) {
-  return [policy, fs](const std::vector<std::string>& argv, std::string* reason) {
-    if (argv.empty()) {
-      return true;
-    }
-    auto absolutize = [fs](const std::string& p) { return fs::Absolutize(p, fs->cwd()); };
-
-    // Output redirections arrive as synthetic "__write__ <path>" commands.
-    if (argv[0] == "__write__") {
-      if (argv.size() > 1) {
-        std::string path = absolutize(argv[1]);
-        for (const std::string& prefix : policy.no_write) {
-          if (UnderPrefix(path, prefix)) {
-            *reason = "policy --no-RW " + prefix + ": blocked write to " + path;
-            return false;
-          }
-        }
-      }
-      return true;
-    }
-
-    const specs::CommandSpec* spec = specs::SpecLibrary::BuiltinGroundTruth().Find(argv[0]);
-    if (spec == nullptr) {
-      return true;  // Unknown commands have no modeled effects.
-    }
-    Result<specs::Invocation> inv = specs::ParseInvocation(
-        spec->syntax, std::vector<std::string>(argv.begin() + 1, argv.end()));
-    if (!inv.ok()) {
-      return true;  // The command itself will fail; nothing to guard.
-    }
-    EffectSummary effects = SummarizeEffects(*spec, *inv);
-
-    // Collect effect-relevant paths: path operands plus path-kind flag args.
-    std::vector<std::pair<const specs::OperandSpec*, std::string>> targets;
-    std::vector<const specs::OperandSpec*> slots =
-        specs::AssignOperands(spec->syntax, static_cast<int>(inv->operands.size()));
-    for (size_t i = 0; i < inv->operands.size(); ++i) {
-      if (slots[i] != nullptr && slots[i]->kind == specs::ValueKind::kPath) {
-        targets.emplace_back(slots[i], absolutize(inv->operands[i]));
-      }
-    }
-    bool flag_writes = false;
-    for (const specs::FlagSpec& f : spec->syntax.flags) {
-      if (f.takes_arg && f.arg_kind == specs::ValueKind::kPath) {
-        if (std::optional<std::string> value = inv->FlagArg(f.letter); value.has_value()) {
-          targets.emplace_back(nullptr, absolutize(*value));
-          flag_writes = true;  // -o file style options write their target.
-        }
-      }
-    }
-
-    for (const auto& [slot, path] : targets) {
-      if (policy.block_root_delete && effects.deletes && fs::NormalizePath(path) == "/") {
-        *reason = "blocked deletion at the file system root (" + argv[0] + " " + path + ")";
-        return false;
-      }
-      if (effects.deletes || effects.writes || (slot == nullptr && flag_writes)) {
-        for (const std::string& prefix : policy.no_write) {
-          if (UnderPrefix(path, prefix)) {
-            *reason = "policy --no-RW " + prefix + ": blocked " + argv[0] + " on " + path;
-            return false;
-          }
-        }
-      }
-      if (effects.reads) {
-        for (const std::string& prefix : policy.no_read) {
-          if (UnderPrefix(path, prefix)) {
-            *reason = "policy --no-read " + prefix + ": blocked " + argv[0] + " on " + path;
-            return false;
-          }
-        }
-      }
-    }
-    return true;
-  };
-}
-
-std::vector<StaticPolicyFinding> CheckPolicyStatically(const syntax::Program& program,
-                                                       const EffectPolicy& policy) {
-  std::vector<StaticPolicyFinding> findings;
-  syntax::VisitCommands(program, /*into_substitutions=*/true, [&](const syntax::Command& cmd) {
-    if (cmd.kind != syntax::CommandKind::kSimple) {
-      // Output redirections on any command form.
-      for (const syntax::Redirect& r : cmd.redirects) {
-        if (r.op != syntax::RedirOp::kOut && r.op != syntax::RedirOp::kAppend &&
-            r.op != syntax::RedirOp::kClobber) {
-          continue;
-        }
-        std::string target;
-        if (StaticishText(r.target, &target) && fs::IsAbsolute(target)) {
-          for (const std::string& prefix : policy.no_write) {
-            if (UnderPrefix(target, prefix)) {
-              findings.push_back(StaticPolicyFinding{syntax::ToShellSyntax(cmd), target,
-                                                     "no-write", r.range});
-            }
-          }
-        }
-      }
-      return;
-    }
-    if (cmd.simple.words.empty()) {
-      return;
-    }
-    std::string name;
-    if (!cmd.simple.words[0].IsStatic(&name)) {
-      return;
-    }
-    const specs::CommandSpec* spec = specs::SpecLibrary::BuiltinGroundTruth().Find(name);
-    // Redirect targets count even when the spec is unknown.
-    for (const syntax::Redirect& r : cmd.redirects) {
-      if (r.op != syntax::RedirOp::kOut && r.op != syntax::RedirOp::kAppend &&
-          r.op != syntax::RedirOp::kClobber) {
-        continue;
-      }
-      std::string target;
-      if (StaticishText(r.target, &target) && fs::IsAbsolute(target)) {
-        for (const std::string& prefix : policy.no_write) {
-          if (UnderPrefix(target, prefix)) {
-            findings.push_back(
-                StaticPolicyFinding{syntax::ToShellSyntax(cmd), target, "no-write", r.range});
-          }
-        }
-      }
-    }
-    if (spec == nullptr) {
-      return;
-    }
-    // Build a static invocation where possible.
-    std::vector<std::string> args;
-    for (size_t i = 1; i < cmd.simple.words.size(); ++i) {
-      std::string text;
-      if (!StaticishText(cmd.simple.words[i], &text)) {
-        return;  // Dynamic argv: the runtime guard covers it.
-      }
-      args.push_back(std::move(text));
-    }
-    Result<specs::Invocation> inv = specs::ParseInvocation(spec->syntax, args);
-    if (!inv.ok()) {
-      return;
-    }
-    EffectSummary effects = SummarizeEffects(*spec, *inv);
-    std::vector<const specs::OperandSpec*> slots =
-        specs::AssignOperands(spec->syntax, static_cast<int>(inv->operands.size()));
-    for (size_t i = 0; i < inv->operands.size(); ++i) {
-      if (slots[i] == nullptr || slots[i]->kind != specs::ValueKind::kPath) {
-        continue;
-      }
-      const std::string& path = inv->operands[i];
-      if (!fs::IsAbsolute(path)) {
-        continue;  // Relative paths depend on the runtime cwd.
-      }
-      if (policy.block_root_delete && effects.deletes && fs::NormalizePath(path) == "/") {
-        findings.push_back(
-            StaticPolicyFinding{syntax::ToShellSyntax(cmd), path, "root-delete", cmd.range});
-      }
-      if (effects.deletes || effects.writes) {
-        for (const std::string& prefix : policy.no_write) {
-          if (UnderPrefix(path, prefix)) {
-            findings.push_back(
-                StaticPolicyFinding{syntax::ToShellSyntax(cmd), path, "no-write", cmd.range});
-          }
-        }
-      }
-      if (effects.reads) {
-        for (const std::string& prefix : policy.no_read) {
-          if (UnderPrefix(path, prefix)) {
-            findings.push_back(
-                StaticPolicyFinding{syntax::ToShellSyntax(cmd), path, "no-read", cmd.range});
-          }
-        }
-      }
-    }
-  });
-  return findings;
-}
-
-VerifyReport Verify(const syntax::Program& program, const EffectPolicy& policy,
+VerifyReport Verify(const syntax::Program& program, const symex::EffectPolicy& policy,
                     fs::FileSystem* fs, InterpOptions options, bool execute) {
   VerifyReport report;
-  report.static_findings = CheckPolicyStatically(program, policy);
-  if (options.metrics != nullptr) {
-    options.metrics->counter("monitor.static_findings")
-        ->Add(static_cast<int64_t>(report.static_findings.size()));
+  symex::EngineOptions engine_options;
+  engine_options.policy = policy;
+  DiagnosticSink sink;
+  symex::Engine(std::move(engine_options), &sink).Run(program);
+  for (Diagnostic& d : sink.TakeAll()) {
+    if (d.severity == Severity::kError &&
+        (d.code == symex::kCodeDeleteRoot || d.code == symex::kCodePolicy)) {
+      report.static_findings.push_back(std::move(d));
+    }
   }
   if (!execute) {
     return report;
   }
   Interpreter interp(fs, std::move(options));
-  std::string blocked_reason;
-  bool blocked = false;
-  Interpreter::CommandHook guard = MakeEffectGuard(policy, fs);
-  interp.set_command_hook([&](const std::vector<std::string>& argv, std::string* reason) {
-    if (!guard(argv, reason)) {
-      blocked = true;
-      blocked_reason = *reason;
-      return false;
+  interp.set_command_hook([&](const std::vector<std::string>& argv,
+                              const std::vector<std::string>& pre_glob, std::string* reason) {
+    if (Allowed(policy, *fs, argv, pre_glob, reason)) {
+      return true;
     }
-    return true;
+    report.blocked = true;
+    report.block_reason = *reason;
+    return false;
   });
   report.run = interp.Run(program);
   report.executed = true;
-  report.blocked = blocked;
-  report.block_reason = blocked_reason;
   return report;
 }
 

@@ -2,9 +2,10 @@
 //
 //   curl sw.com/up.sh | verify --no-RW ~/mine | sh
 //
-// Verify checks a script against a user policy: statically where possible,
-// and by generating a runtime guard that halts execution the moment a
-// command is about to violate the policy.
+// Verify checks a script against a user policy: statically with the
+// symbolic engine, and by generating a runtime guard that halts execution
+// the moment a command is about to violate the policy or delete at the
+// root. Both halves judge root deletion by symex::DangerLanguage().
 #ifndef SASH_MONITOR_GUARD_H_
 #define SASH_MONITOR_GUARD_H_
 
@@ -12,52 +13,27 @@
 #include <vector>
 
 #include "monitor/interp.h"
+#include "symex/engine.h"
 #include "syntax/ast.h"
+#include "util/diagnostics.h"
 
 namespace sash::monitor {
 
-struct EffectPolicy {
-  // Path prefixes that must be neither written, deleted, nor created under
-  // (the paper's --no-RW ~/mine).
-  std::vector<std::string> no_write;
-  // Path prefixes that must not even be read.
-  std::vector<std::string> no_read;
-  // Refuse deletion at the file-system root regardless of other settings.
-  bool block_root_delete = true;
-};
-
-// A CommandHook enforcing the policy, for use with Interpreter: inspects each
-// external command's argv (after expansion — globs are already resolved),
-// predicts its effects from the specification library, and blocks violators.
-// `cwd_provider` supplies the interpreter's working directory for relative
-// paths. Synthetic "__write__ <path>" argvs guard output redirections.
-Interpreter::CommandHook MakeEffectGuard(const EffectPolicy& policy,
-                                         const fs::FileSystem* fs);
-
-// Static half of `verify`: scans the program for commands whose statically
-// known operand prefixes violate the policy. Findings are definite ("this
-// script writes under ~/mine"); dynamic operands are left to the guard.
-struct StaticPolicyFinding {
-  std::string command;   // Rendered command text.
-  std::string path;      // The offending (static) path.
-  std::string rule;      // "no-write" / "no-read" / "root-delete".
-  SourceRange range;
-};
-
-std::vector<StaticPolicyFinding> CheckPolicyStatically(const syntax::Program& program,
-                                                       const EffectPolicy& policy);
-
-// Full verify: static findings plus a guarded run. When `execute` is false
-// (static-only), the script is not run.
+// Full verify: symex's static findings plus a run under a guard that
+// blocks, before the command runs, any policy violation and any delete
+// whose word before pathname expansion is in symex::DangerLanguage(). When
+// `execute` is false (static-only), the script is not run.
 struct VerifyReport {
-  std::vector<StaticPolicyFinding> static_findings;
+  // Every kCodeDeleteRoot error, and the kCodePolicy errors (paths that must
+  // violate the policy); may-level policy warnings are left to the guard.
+  std::vector<Diagnostic> static_findings;
   bool executed = false;
   bool blocked = false;        // The runtime guard halted the script.
   std::string block_reason;
   InterpResult run;
 };
 
-VerifyReport Verify(const syntax::Program& program, const EffectPolicy& policy,
+VerifyReport Verify(const syntax::Program& program, const symex::EffectPolicy& policy,
                     fs::FileSystem* fs, InterpOptions options, bool execute);
 
 }  // namespace sash::monitor

@@ -77,15 +77,16 @@ Interpreter::Interpreter(fs::FileSystem* fs, InterpOptions options)
   vars_["PWD"] = fs_->cwd();
 }
 
-bool Interpreter::InvokeGuard(const std::vector<std::string>& argv, std::string* reason) {
+bool Interpreter::InvokeGuard(const std::vector<std::string>& argv,
+                              const std::vector<std::string>& pre_glob, std::string* reason) {
   if (!command_hook_) {
     return true;
   }
   if (guard_latency_ns_ == nullptr) {
-    return command_hook_(argv, reason);
+    return command_hook_(argv, pre_glob, reason);
   }
   obs::StopWatch watch;
-  bool ok = command_hook_(argv, reason);
+  bool ok = command_hook_(argv, pre_glob, reason);
   guard_latency_ns_->Observe(watch.ElapsedNanos());
   if (!ok && guard_blocks_counter_ != nullptr) {
     guard_blocks_counter_->Add(1);
@@ -516,7 +517,8 @@ std::string Interpreter::ExpandParts(const std::vector<WordPart>& parts) {
   return out;
 }
 
-std::vector<std::string> Interpreter::ExpandWord(const Word& word) {
+std::vector<std::string> Interpreter::ExpandWord(const Word& word,
+                                                 std::vector<std::string>* pre_glob) {
   // Track which expansion produced which byte so field splitting and glob
   // expansion only apply to unquoted dynamic content. A simplified model:
   // expand to text, then (a) split on whitespace if the word contains an
@@ -565,12 +567,16 @@ std::vector<std::string> Interpreter::ExpandWord(const Word& word) {
   std::vector<std::string> out;
   for (const std::string& f : fields) {
     bool globbable = has_unquoted_glob || (has_unquoted_dynamic && fs::HasGlobChars(f));
+    const size_t before = out.size();
     if (!globbable) {
       out.push_back(f);
-      continue;
+    } else {
+      for (std::string& match : fs::ExpandGlob(*fs_, f, fs_->cwd())) {
+        out.push_back(std::move(match));
+      }
     }
-    for (std::string& match : fs::ExpandGlob(*fs_, f, fs_->cwd())) {
-      out.push_back(std::move(match));
+    if (pre_glob != nullptr) {
+      pre_glob->insert(pre_glob->end(), out.size() - before, f);
     }
   }
   return out;
@@ -658,10 +664,11 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
       return last_exit_;
     }
   }
-  // Argv.
+  // Argv, and its fields before pathname expansion when a guard reads them.
   std::vector<std::string> argv;
+  std::vector<std::string> pre_glob;
   for (const Word& w : cmd.simple.words) {
-    for (std::string& f : ExpandWord(w)) {
+    for (std::string& f : ExpandWord(w, command_hook_ ? &pre_glob : nullptr)) {
       argv.push_back(std::move(f));
     }
     if (exited_ || aborted_) {
@@ -811,7 +818,7 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   }
   {
     std::string reason;
-    if (!InvokeGuard(argv, &reason)) {
+    if (!InvokeGuard(argv, pre_glob, &reason)) {
       aborted_ = true;
       abort_reason_ = reason;
       last_exit_ = 1;
@@ -825,7 +832,8 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
     // Redirection writes pass through the guard as synthetic commands.
     {
       std::string reason;
-      if (!InvokeGuard({"__write__", redirect_out_path}, &reason)) {
+      const std::vector<std::string> write{"__write__", redirect_out_path};
+      if (!InvokeGuard(write, write, &reason)) {
         aborted_ = true;
         abort_reason_ = reason;
         last_exit_ = 1;

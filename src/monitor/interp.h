@@ -43,12 +43,14 @@ struct InterpResult {
 
 class Interpreter {
  public:
-  // Hooks for the monitor: called around every external command with its
-  // argv and the data that flowed through. Returning false aborts execution
-  // (the monitor "halting the execution of a script about to perform a
-  // dangerous action").
-  using CommandHook =
-      std::function<bool(const std::vector<std::string>& argv, std::string* abort_reason)>;
+  // Hooks for the monitor: called before every external command with its
+  // argv and, for each argv[i], the field it came from before pathname
+  // expansion (`pre_glob[i]`: "/*" for every entry `"$d/"*` globbed to when
+  // d is empty). Returning false aborts execution (the monitor "halting the
+  // execution of a script about to perform a dangerous action").
+  using CommandHook = std::function<bool(const std::vector<std::string>& argv,
+                                         const std::vector<std::string>& pre_glob,
+                                         std::string* abort_reason)>;
   // Called once per pipe boundary with everything the producing stage wrote:
   // (stage_index, output). Returning false aborts with a stream-type
   // violation.
@@ -65,7 +67,7 @@ class Interpreter {
   // runs does not grow with their number.
   InterpResult Run(const syntax::Program& program);
 
-  // Variable store access (for tests and the verify tool).
+  // Variable store access (for tests).
   const std::map<std::string, std::string>& vars() const { return vars_; }
 
  private:
@@ -82,8 +84,10 @@ class Interpreter {
   int ExecPipeline(const syntax::Command& cmd, ExecContext ctx);
   int ExecList(const syntax::Command& cmd, ExecContext ctx);
 
-  // Expansion: a word yields zero or more fields.
-  std::vector<std::string> ExpandWord(const syntax::Word& word);
+  // Expansion: a word yields zero or more fields. When `pre_glob` is given,
+  // each field's text before pathname expansion is appended to it.
+  std::vector<std::string> ExpandWord(const syntax::Word& word,
+                                      std::vector<std::string>* pre_glob = nullptr);
   std::string ExpandParts(const std::vector<syntax::WordPart>& parts);
   std::string ExpandParam(const syntax::WordPart& part);
   std::string LookupVar(const std::string& name) const;
@@ -94,7 +98,8 @@ class Interpreter {
   void EmitErr(const std::string& text);
 
   // Runs the command hook (if any) with guard-check latency recorded.
-  bool InvokeGuard(const std::vector<std::string>& argv, std::string* reason);
+  bool InvokeGuard(const std::vector<std::string>& argv, const std::vector<std::string>& pre_glob,
+                   std::string* reason);
 
   fs::FileSystem* fs_;
   InterpOptions options_;
@@ -113,8 +118,6 @@ class Interpreter {
   bool aborted_ = false;
   bool exited_ = false;
   std::string abort_reason_;
-
-  friend struct InterpreterPeek;
 };
 
 }  // namespace sash::monitor

@@ -60,6 +60,16 @@ std::optional<PathKey> Evaluator::PathKeyOf(const State& st, const Expanded& e) 
   return std::nullopt;
 }
 
+SymValue Evaluator::ResolvedPath(const State& st, const Expanded& e) {
+  if (!e.value.is_concrete() || e.value.concrete().empty() ||
+      !(fs::IsAbsolute(e.value.concrete()) || st.cwd.is_concrete())) {
+    return e.value;
+  }
+  // An absolute operand ignores the cwd, which may then be symbolic.
+  return SymValue::Concrete(fs::Absolutize(
+      e.value.concrete(), st.cwd.is_concrete() ? st.cwd.concrete() : std::string()));
+}
+
 namespace {
 
 // Every name TryBuiltin handles. The interned-set probe rejects external
@@ -326,15 +336,24 @@ std::vector<State> Evaluator::BuiltinCd(State st, const std::vector<Expanded>& a
   }
 
   auto success_state = [&](State s) {
-    if (target.value.is_concrete() && s.cwd.is_concrete()) {
-      std::string newcwd = fs::Absolutize(target.value.concrete(), s.cwd.concrete());
+    // `cd /` needs no cwd to resolve against, and the danger check must
+    // know a root cwd concretely (`cd / && rm -rf *`).
+    const bool to_root =
+        target.value.is_concrete() && fs::NormalizePath(target.value.concrete()) == "/";
+    if (target.value.is_concrete() && (to_root || s.cwd.is_concrete())) {
+      std::string newcwd =
+          to_root ? "/" : fs::Absolutize(target.value.concrete(), s.cwd.concrete());
       s.cwd = SymValue::Concrete(newcwd);
       s.sfs.Assume(PathKey::Concrete(newcwd), PathState::kIsDir);
       ++stats_->fs_ops;
     } else {
       // Unknown target: the new cwd is some canonical absolute directory
-      // (possibly "/" — the paper's "//upd.sh" corner case stays in play).
-      s.cwd = SymValue::AbsolutePath().RestrictNonEmpty();
+      // (possibly "/" — the paper's "//upd.sh" corner case stays in play),
+      // with no "." or ".." component since cd resolves them. Fig. 2's
+      // realpath refinement and the danger language's ".." widening rely on it.
+      static const regex::Regex kDir = *regex::Regex::FromPattern(
+          "/((\\.?\\.?[^./\\n]|\\.\\.\\.)[^/\\n]*/)*((\\.?\\.?[^./\\n]|\\.\\.\\.)[^/\\n]*)?");
+      s.cwd = SymValue::Language(kDir);
     }
     s.Bind("PWD", s.cwd);
     s.exit = ExitStatus::Known(0);

@@ -22,13 +22,6 @@ using syntax::Command;
 using syntax::CommandKind;
 using syntax::ListOp;
 
-// The "danger language": strings whose pathname expansion targets the root —
-// "/", "//", "/*", "//*", ... (the normalized forms of Fig. 1's rm target).
-const regex::Regex& DangerLanguage() {
-  static const regex::Regex kDanger = *regex::Regex::FromPattern("/+\\*?");
-  return kDanger;
-}
-
 // Names assigned anywhere inside a command (for loop widening).
 std::vector<std::string> AssignedNames(const Command& cmd) {
   std::vector<std::string> out;
@@ -140,7 +133,34 @@ std::string StateSignature(const State& st) {
   return sig;
 }
 
+// For each prefix, the paths at or under it in the lexically normal form
+// that ResolvedPath gives concrete operands. Built from memoized literals and
+// concatenations, so repeated runs share one compiled language per prefix.
+std::vector<regex::Regex> UnderLanguages(const std::vector<std::string>& prefixes) {
+  static const regex::Regex kBelow = *regex::Regex::FromPattern("(/.*)?");
+  std::vector<regex::Regex> out;
+  for (const std::string& p : prefixes) {
+    const std::string pre = fs::NormalizePath(p);
+    out.push_back(pre == "/" ? regex::Regex::Literal("/").Concat(regex::Regex::AnyLine())
+                             : regex::Regex::Literal(pre).Concat(kBelow));
+  }
+  return out;
+}
+
+// DangerLanguage()'s dot-free members: "/", "//", "/*", "//*", ...
+const regex::Regex& DotFreeDanger() {
+  static const regex::Regex kDotFree =
+      DangerLanguage().Intersect(*regex::Regex::FromPattern("[^.]*"));
+  return kDotFree;
+}
+
 }  // namespace
+
+const regex::Regex& DangerLanguage() {
+  static const regex::Regex kDanger = *regex::Regex::FromPattern(
+      "/+((\\./+)*\\*)?|(/[^\\n]*)?/\\.\\.(/+\\.?)*/\\*");
+  return kDanger;
+}
 
 // ---------------------------------------------------------------------------
 // Engine facade
@@ -186,6 +206,14 @@ std::vector<State> Engine::RunFrom(State initial, const syntax::Program& program
 // ---------------------------------------------------------------------------
 // Evaluator: top level and control flow
 // ---------------------------------------------------------------------------
+
+Evaluator::Evaluator(const EngineOptions& options, DiagnosticSink* sink, EngineStats* stats)
+    : options_(options), sink_(sink), stats_(stats), paranoid_merge_(ParanoidMergeFromEnv()) {
+  if (!options_.policy.empty()) {
+    no_write_ = UnderLanguages(options_.policy.no_write);
+    no_read_ = UnderLanguages(options_.policy.no_read);
+  }
+}
 
 State Evaluator::MakeInitialState() const {
   State st;
@@ -974,6 +1002,15 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
          {"precondition cannot hold: " + branches[0].c->ToHoareString(name)});
   }
 
+  // Effects policy (verify only), checked on each path operand an effect
+  // touches, before the effect needs a path key.
+  const bool policed = !no_write_.empty() || !no_read_.empty();
+  auto police = [&](const State& s, size_t i, bool write) {
+    if (slots[i] != nullptr && slots[i]->kind == specs::ValueKind::kPath) {
+      CheckPolicy(s, cmd.range, name, operands[i], write);
+    }
+  };
+
   auto apply_case = [&](State s, const specs::SpecCase& c, bool assume_pre) -> State {
     if (assume_pre) {
       for (const specs::PreCond& pre : c.pre) {
@@ -990,6 +1027,16 @@ std::vector<State> Evaluator::ExecExternal(State st, const Command& cmd,
     }
     for (const specs::Effect& eff : c.effects) {
       for (int idx : specs::SelectOperands(eff.sel, static_cast<int>(operands.size()))) {
+        if (policed && eff.kind != specs::EffectKind::kNone) {
+          // Copies and moves write their destination; a move also deletes.
+          const bool to_last = eff.kind == specs::EffectKind::kCopyToLast ||
+                               eff.kind == specs::EffectKind::kMoveToLast;
+          police(s, to_last ? operands.size() - 1 : static_cast<size_t>(idx),
+                 /*write=*/eff.kind != specs::EffectKind::kReadFile);
+          if (eff.kind == specs::EffectKind::kMoveToLast) {
+            police(s, static_cast<size_t>(idx), /*write=*/true);
+          }
+        }
         const std::optional<PathKey>& key = keys[static_cast<size_t>(idx)];
         if (!key.has_value()) {
           continue;
@@ -1090,19 +1137,24 @@ void Evaluator::CheckDangerousDelete(const State& st, const Command& cmd,
     if (!relevant) {
       continue;
     }
-    if (op.value.MustBeIn(DangerLanguage())) {
+    // A "*" written in the word globs; one that came from a quoted or
+    // expanded value may be a plain name ("/scratch/$1" with $1 = "../*"),
+    // so without an unquoted glob only the dot-free members apply.
+    const regex::Regex& danger = op.has_unquoted_glob ? DangerLanguage() : DotFreeDanger();
+    const SymValue path = ResolvedPath(st, op);
+    if (path.MustBeIn(danger)) {
       std::vector<std::string> notes;
       notes.push_back("the operand always targets the file system root");
       Emit(Severity::kError, kCodeDeleteRoot, cmd.range,
            "rm " + std::string(recursive ? "-r" : "") +
                " always deletes from the file system root (operand " + op.value.Describe() + ")",
            st, std::move(notes));
-    } else if (op.value.CanBeIn(DangerLanguage())) {
+    } else if (path.CanBeIn(danger)) {
       std::vector<std::string> notes;
       std::optional<std::string> witness =
           op.value.is_concrete()
               ? std::optional<std::string>(op.value.concrete())
-              : op.value.lang().Intersect(DangerLanguage()).Witness();
+              : op.value.lang().Intersect(danger).Witness();
       if (witness.has_value()) {
         notes.push_back("dangerous expansion: '" + EscapeForDisplay(*witness) + "'");
       }
@@ -1118,6 +1170,28 @@ void Evaluator::CheckDangerousDelete(const State& st, const Command& cmd,
   }
 }
 
+void Evaluator::CheckPolicy(const State& st, SourceRange range, const std::string& name,
+                            const Expanded& path, bool write) {
+  const SymValue resolved = ResolvedPath(st, path);
+  const std::vector<regex::Regex>& protected_paths = write ? no_write_ : no_read_;
+  const std::string what = write ? "modify a path that --no-rw protects"
+                                 : "read a path that --no-read protects";
+  bool may = false;
+  for (const regex::Regex& lang : protected_paths) {
+    if (resolved.MustBeIn(lang)) {
+      Emit(Severity::kError, kCodePolicy, range,
+           name + " would " + what + " (" + resolved.Describe() + ")", st);
+      return;
+    }
+    may = may || resolved.CanBeIn(lang);
+  }
+  if (may) {
+    Emit(Severity::kWarning, kCodePolicy, range,
+         name + " may " + what + " (" + resolved.Describe() + "); left to the runtime guard",
+         st);
+  }
+}
+
 void Evaluator::ApplyRedirects(State& st, const Command& cmd, int depth) {
   for (const syntax::Redirect& r : cmd.redirects) {
     switch (r.op) {
@@ -1125,6 +1199,9 @@ void Evaluator::ApplyRedirects(State& st, const Command& cmd, int depth) {
       case syntax::RedirOp::kAppend:
       case syntax::RedirOp::kClobber: {
         Expanded target = ExpandWord(st, r.target, depth);
+        if (!no_write_.empty()) {
+          CheckPolicy(st, r.range, "redirection", target, /*write=*/true);
+        }
         std::optional<PathKey> key = PathKeyOf(st, target);
         if (key.has_value()) {
           st.sfs.ApplyCreateFile(*key);
@@ -1135,6 +1212,9 @@ void Evaluator::ApplyRedirects(State& st, const Command& cmd, int depth) {
       case syntax::RedirOp::kIn:
       case syntax::RedirOp::kReadWrite: {
         Expanded target = ExpandWord(st, r.target, depth);
+        if (!no_read_.empty()) {
+          CheckPolicy(st, r.range, "redirection", target, /*write=*/false);
+        }
         std::optional<PathKey> key = PathKeyOf(st, target);
         if (key.has_value()) {
           Knowledge k = st.sfs.CheckRequirement(*key, PathState::kIsFile);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "regex/regex.h"
 #include "specs/library.h"
 #include "symex/state.h"
 #include "syntax/ast.h"
@@ -30,6 +31,29 @@ inline constexpr char kCodeUnsetVar[] = "SASH-UNSET-VAR";
 inline constexpr char kCodeUnknownCommand[] = "SASH-UNKNOWN-CMD";
 inline constexpr char kCodeEmptyExpansionArg[] = "SASH-EMPTY-OPERAND";
 inline constexpr char kCodeParamError[] = "SASH-PARAM-ERROR";
+inline constexpr char kCodePolicy[] = "SASH-POLICY";
+
+// The one definition of root deletion, shared by the engine and verify's
+// runtime guard: the root ("/", "//") and globs of its entries, also spelled
+// through "." and ".." ("/*", "/./*", "/tmp/../*"). Which paths reach the
+// root through ".." needs balanced counting, which no regular language can
+// do, so every absolute "<anything>/../*" is in: a documented
+// over-approximation. Concrete paths are normalized lexically before the
+// test (POSIX: "/.." is "/"), so only symbolic values see it.
+const regex::Regex& DangerLanguage();
+
+// A user policy over file-system effects (the paper's
+// `verify --no-RW ~/mine`). The engine tests every path a modeled effect
+// touches against it and reports kCodePolicy: an error when every value of
+// the path lies under a protected prefix, a warning when some may.
+struct EffectPolicy {
+  // Path prefixes that must be neither written, deleted, nor created under.
+  std::vector<std::string> no_write;
+  // Path prefixes that must not even be read.
+  std::vector<std::string> no_read;
+
+  bool empty() const { return no_write.empty() && no_read.empty(); }
+};
 
 struct EngineOptions {
   // State-explosion controls (§4: "avoiding exponential explosion").
@@ -48,6 +72,10 @@ struct EngineOptions {
   int positional_params = 3;
 
   const specs::SpecLibrary* library = nullptr;  // Default: BuiltinGroundTruth.
+
+  // Effects policy; only `verify` sets one. Never fingerprinted into cache
+  // keys: analyze runs with the empty policy, and verify caches nothing.
+  EffectPolicy policy;
 
   // Optional cooperative cancellation: the engine polls this once per
   // executed command and winds down (terminating every live state with an

@@ -45,11 +45,7 @@ struct TestOutcome {
 
 class Evaluator {
  public:
-  Evaluator(const EngineOptions& options, DiagnosticSink* sink, EngineStats* stats)
-      : options_(options),
-        sink_(sink),
-        stats_(stats),
-        paranoid_merge_(ParanoidMergeFromEnv()) {}
+  Evaluator(const EngineOptions& options, DiagnosticSink* sink, EngineStats* stats);
 
   State MakeInitialState() const;
 
@@ -77,6 +73,10 @@ class Evaluator {
   void ApplyRedirects(State& st, const syntax::Command& cmd, int depth);
   void CheckDangerousDelete(const State& st, const syntax::Command& cmd,
                             const specs::Invocation& inv, const std::vector<Expanded>& operands);
+  // Tests a path that `name` writes (or reads) against the effects policy:
+  // an error when it must lie under a protected prefix, a warning when it may.
+  void CheckPolicy(const State& st, SourceRange range, const std::string& name,
+                   const Expanded& path, bool write);
 
   // Partitions states on exit status, forking unknowns. `context` feeds the
   // assumption notes.
@@ -102,6 +102,10 @@ class Evaluator {
 
   // Shared helpers.
   std::optional<symfs::PathKey> PathKeyOf(const State& st, const Expanded& e) const;
+  // The path an operand names, as the danger and policy languages see it: a
+  // concrete operand is resolved against a concrete cwd and normalized
+  // lexically (POSIX: "/.." is "/"); anything else is returned as is.
+  static SymValue ResolvedPath(const State& st, const Expanded& e);
   void Emit(Severity severity, const char* code, SourceRange range, std::string message,
             const State& st, std::vector<std::string> extra_notes = {});
   const specs::SpecLibrary& lib() const {
@@ -124,6 +128,9 @@ class Evaluator {
   DiagnosticSink* sink_;
   EngineStats* stats_;
   const bool paranoid_merge_ = false;
+  // The policy's prefixes as path languages, one per prefix.
+  std::vector<regex::Regex> no_write_;
+  std::vector<regex::Regex> no_read_;
   int next_state_id_ = 0;
   std::set<std::string> emitted_;  // Dedup key: code@offset@severity.
   std::vector<uint64_t> merge_digests_;  // Control's digest list, reused per call.

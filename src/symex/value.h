@@ -27,8 +27,8 @@ class SymValue {
   static SymValue Unknown();
   // Any single line (no newline) — the default for opaque command output.
   static SymValue UnknownLine();
-  // Canonical absolute path language (the paper's /?([^/]*/)*[^/]+ shape,
-  // anchored absolute): used for $PWD and resolved directories.
+  // Absolute path language (the paper's /?([^/]*/)*[^/]+ shape, anchored
+  // absolute; "." and ".." components allowed): entry $PWD, realpath output.
   static SymValue AbsolutePath();
   // An integer literal language.
   static SymValue UnknownNumber();

@@ -121,6 +121,16 @@ TEST_F(CliGoldenTest, MultiFileText) {
   ExpectGolden("multi_text.txt", r.output);
 }
 
+TEST_F(CliGoldenTest, VerifySteamText) {
+  // Fig. 1 under verify: symex reports the root deletion before the run,
+  // and the guard blocks it when "$STEAMROOT/"* globs to root's entries.
+  RunResult r = RunCli(Sash("verify steam_updater.sh"));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("static 4:1-4:22 error[SASH-DEL-ROOT]"), std::string::npos);
+  EXPECT_NE(r.output.find("\nBLOCKED: "), std::string::npos);
+  ExpectGolden("verify_steam.txt", r.output);
+}
+
 TEST_F(CliGoldenTest, BatchJsonColdThenWarm) {
   std::string cmd =
       Sash("analyze --format=json -j2 " + CacheFlag() +

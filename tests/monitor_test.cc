@@ -335,6 +335,8 @@ TEST(StreamMonitor, EmptyStageOutputChecksNothing) {
 
 // ---------- the effect guard / verify ----------
 
+using symex::EffectPolicy;
+
 TEST(Guard, BlocksProtectedWrites) {
   fs::FileSystem fs;
   fs.MakeDir("/home/user/mine", true);
@@ -393,29 +395,61 @@ TEST(Guard, BlocksRootDeletion) {
   EXPECT_TRUE(fs.IsDir("/usr"));
 }
 
+TEST(Guard, BlocksRootGlobDeletion) {
+  // Fig. 1 and the `.`/`..`/relative spellings of its target: each word is
+  // a root glob before pathname expansion, and a list of root's entries
+  // after it — the guard judges the former, by symex's danger language.
+  const char* const kScripts[] = {
+      "STEAMROOT=\"$(cd \"${0%/*}\" && echo \"$PWD\")\"\nrm -rf \"$STEAMROOT/\"*\n",
+      "rm -rf /*\n",
+      "rm -rf /tmp/../*\n",
+      "D=$(dirname \"$0\"); rm -rf \"$D/../\"*\n",
+      "cd / && rm -rf *\n",
+  };
+  for (const char* script : kScripts) {
+    fs::FileSystem fs;
+    fs.MakeDir("/home/user", true);
+    fs.WriteFile("/home/user/notes", "n");
+    fs.MakeDir("/tmp", false);
+    VerifyReport report =
+        Verify(Parsed(script), EffectPolicy{}, &fs, InterpOptions{}, /*execute=*/true);
+    EXPECT_TRUE(report.blocked) << script;
+    ASSERT_FALSE(report.static_findings.empty()) << script;
+    EXPECT_EQ(report.static_findings[0].code, symex::kCodeDeleteRoot) << script;
+    EXPECT_TRUE(fs.IsFile("/home/user/notes")) << script;
+  }
+}
+
 TEST(Guard, StaticFindingsForStaticPaths) {
   EffectPolicy policy;
   policy.no_write = {"/home/user/mine"};
   // The paper's curl-to-sh scenario: up.sh touches ~/mine.
   syntax::Program p = Parsed("mkdir -p ~/mine/injected\necho payload > ~/mine/injected/f\n");
-  std::vector<StaticPolicyFinding> findings = CheckPolicyStatically(p, policy);
-  ASSERT_GE(findings.size(), 2u);
-  EXPECT_EQ(findings[0].rule, "no-write");
-  EXPECT_NE(findings[0].path.find("/home/user/mine"), std::string::npos);
+  fs::FileSystem fs;
+  VerifyReport report = Verify(p, policy, &fs, InterpOptions{}, /*execute=*/false);
+  EXPECT_FALSE(report.executed);
+  ASSERT_GE(report.static_findings.size(), 2u);
+  for (const Diagnostic& d : report.static_findings) {
+    EXPECT_EQ(d.code, symex::kCodePolicy);
+    EXPECT_EQ(d.severity, Severity::kError);
+    EXPECT_NE(d.message.find("--no-rw"), std::string::npos);
+    EXPECT_NE(d.message.find("/home/user/mine/injected"), std::string::npos);
+  }
 }
 
 TEST(Guard, StaticCheckIsSilentOnDynamicPaths) {
   EffectPolicy policy;
   policy.no_write = {"/home/user/mine"};
-  syntax::Program p = Parsed("rm -rf \"$TARGET\"\n");
-  EXPECT_TRUE(CheckPolicyStatically(p, policy).empty());
-  // ...which is exactly why the runtime guard exists.
   fs::FileSystem fs;
   fs.MakeDir("/home/user/mine", true);
-  InterpOptions opts;
-  // TARGET comes from the environment at run time.
+  // TARGET comes from the environment at run time: nothing static to report.
+  syntax::Program p = Parsed("rm -rf \"$TARGET\"\n");
+  EXPECT_TRUE(Verify(p, policy, &fs, InterpOptions{}, /*execute=*/false).static_findings.empty());
+  // A path symex can derive is reported before the run, and the guard
+  // still blocks it during the run.
   syntax::Program armed = Parsed("TARGET=/home/user/mine\nrm -rf \"$TARGET\"\n");
-  VerifyReport report = Verify(armed, policy, &fs, opts, /*execute=*/true);
+  VerifyReport report = Verify(armed, policy, &fs, InterpOptions{}, /*execute=*/true);
+  EXPECT_EQ(report.static_findings.size(), 1u);
   EXPECT_TRUE(report.blocked);
   EXPECT_TRUE(fs.IsDir("/home/user/mine"));
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "fs/path.h"
 #include "symex/engine.h"
 #include "syntax/parser.h"
 
@@ -482,7 +484,11 @@ INSTANTIATE_TEST_SUITE_P(
                       "d=\nrm -rf \"$d\"/*\n", "d=\nrm -rf $d/\n",
                       "a=/\nb='*'\nrm -rf $a$b\n",
                       "root=/\nrm -fr ${root}\n",
-                      "x=${undefined_var}\nrm -rf \"$x\"/*\n"));
+                      "x=${undefined_var}\nrm -rf \"$x\"/*\n",
+                      // Root reached through `.`/`..` or a relative glob.
+                      "rm -rf /tmp/../*\n", "rm -rf /./*\n",
+                      "D=$(dirname \"$0\"); rm -rf \"$D/../\"*\n",
+                      "cd / && rm -rf *\n"));
 
 // And safe spellings are not flagged.
 class SafeSpellings : public ::testing::TestWithParam<const char*> {};
@@ -497,7 +503,71 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("rm -rf /tmp/scratch\n", "rm -rf /home/user/.cache/*\n",
                       "d=/var/tmp\nrm -rf \"$d\"/*\n",
                       "d=$(echo /opt/app)\nrm -rf \"$d\"/*\n",
-                      "if [ -n \"$1\" ]; then rm -rf \"/scratch/$1\"; fi\n"));
+                      "if [ -n \"$1\" ]; then rm -rf \"/scratch/$1\"; fi\n",
+                      "rm -rf /tmp/a/../*\n", "cd /tmp && rm -rf *\n",
+                      "rm -rf \"$HOME/..\"/x\n", "rm -rf \"/scratch/$1/*\"\n"));
+
+// The danger language against lexical normalization, over every absolute
+// path of up to four components drawn from {"", ".", "..", "a"}: each glob
+// of them that normalizes to "/*" is in it (soundness), and without ".." it
+// holds only paths that normalize to "/" or "/*" (the over-approximation is
+// confined to ".." spellings).
+TEST(Engine, DangerLanguageCoversRootSpellings) {
+  const char* const kParts[] = {"", ".", "..", "a"};
+  std::vector<std::string> dirs{""};
+  for (size_t i = 0; i < dirs.size(); ++i) {
+    if (std::count(dirs[i].begin(), dirs[i].end(), '/') < 4) {
+      for (const char* part : kParts) {
+        dirs.push_back(dirs[i] + "/" + part);
+      }
+    }
+  }
+  int root_globs = 0;
+  for (const std::string& dir : dirs) {
+    const std::string glob = dir + "/*";
+    if (fs::NormalizePath(glob) == "/*") {
+      ++root_globs;
+      EXPECT_TRUE(DangerLanguage().Matches(glob)) << glob;
+    }
+    for (const std::string& path : {dir, dir + "/", glob}) {
+      if (path.find("..") == std::string::npos && DangerLanguage().Matches(path)) {
+        const std::string norm = fs::NormalizePath(path);
+        EXPECT_TRUE(norm == "/" || norm == "/*") << path;
+      }
+    }
+  }
+  EXPECT_GT(root_globs, 50);
+}
+
+// Verify's effects policy rides on the spec effects: a path that must lie
+// under a protected prefix is an error, one that may is a warning (left to
+// the runtime guard), and the empty policy checks nothing.
+TEST(Engine, PolicyMustAndMayViolations) {
+  EngineOptions policed;
+  policed.policy.no_write = {"/home/user/mine"};
+  const char* kMust = "t=$(echo /home/user/mine)\nrm -rf \"$t\"\n";
+  RunResult must_run = RunScript(kMust, policed);
+  const Diagnostic* must = FindCode(must_run, kCodePolicy);
+  ASSERT_NE(must, nullptr);
+  EXPECT_EQ(must->severity, Severity::kError);
+  EXPECT_NE(must->message.find("/home/user/mine"), std::string::npos);
+  EXPECT_FALSE(HasCode(RunScript(kMust), kCodePolicy, Severity::kNote));
+
+  EngineOptions unknown_x = policed;
+  unknown_x.var_patterns = {{"X", ".*"}};
+  RunResult may = RunScript("rm -rf \"$X/y\"\n", unknown_x);
+  ASSERT_NE(FindCode(may, kCodePolicy), nullptr);
+  EXPECT_EQ(FindCode(may, kCodePolicy)->severity, Severity::kWarning);
+
+  // Reads, redirections, and paths outside the prefix.
+  EngineOptions reads;
+  reads.policy.no_read = {"/home/user/mine"};
+  EXPECT_TRUE(HasCode(RunScript("cat /home/user/mine/key\n", reads), kCodePolicy,
+                      Severity::kError));
+  EXPECT_TRUE(HasCode(RunScript("echo x > ~/mine/f\n", policed), kCodePolicy, Severity::kError));
+  EXPECT_FALSE(HasCode(RunScript("rm -rf /home/user/minecraft\necho x > /tmp/f\n", policed),
+                       kCodePolicy, Severity::kNote));
+}
 
 // ---------- forking by sharing ----------
 

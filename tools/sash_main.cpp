@@ -561,13 +561,13 @@ int CmdRun(const std::vector<std::string>& args) {
   return result.exit_code;
 }
 
-constexpr Flag<sash::monitor::EffectPolicy> kVerifyFlags[] = {
-    {"--no-rw", &sash::monitor::EffectPolicy::no_write},
-    {"--no-read", &sash::monitor::EffectPolicy::no_read},
+constexpr Flag<sash::symex::EffectPolicy> kVerifyFlags[] = {
+    {"--no-rw", &sash::symex::EffectPolicy::no_write},
+    {"--no-read", &sash::symex::EffectPolicy::no_read},
 };
 
 int CmdVerify(const std::vector<std::string>& args) {
-  sash::monitor::EffectPolicy policy;
+  sash::symex::EffectPolicy policy;
   std::vector<std::string> operands;
   if (!ParseFlags("verify", args, &operands, FlagGroup{kVerifyFlags, &policy})) {
     return 2;
@@ -587,8 +587,8 @@ int CmdVerify(const std::vector<std::string>& args) {
   }
   sash::monitor::VerifyReport report = sash::monitor::Verify(
       parsed.program, policy, &fs, sash::monitor::InterpOptions{}, /*execute=*/true);
-  for (const sash::monitor::StaticPolicyFinding& f : report.static_findings) {
-    std::printf("static [%s] %s -> %s\n", f.rule.c_str(), f.command.c_str(), f.path.c_str());
+  for (const sash::Diagnostic& d : report.static_findings) {
+    std::printf("static %s\n", d.ToString().c_str());
   }
   if (report.blocked) {
     std::printf("BLOCKED: %s\n", report.block_reason.c_str());
