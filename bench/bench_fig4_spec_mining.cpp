@@ -4,7 +4,6 @@
 // ground truth.
 #include "bench_util.h"
 #include "mining/man_corpus.h"
-#include "obs/obs.h"
 #include "mining/pipeline.h"
 #include "mining/prober.h"
 
@@ -14,15 +13,17 @@ void PrintResult() {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"command", "invocations", "environments", "probes", "cases", "agreement"});
   int total_probes = 0;
-  // Route the sweep through the metrics registry so "mining.*" counters land
-  // in this bench's JSON report.
-  sash::obs::Hooks hooks;
-  hooks.metrics = &sash::bench::Metrics();
-  for (const sash::mining::MiningOutcome& o : sash::mining::MineAll(hooks)) {
+  int total_cases = 0;
+  int mined = 0;
+  int failures = 0;
+  for (const sash::mining::MiningOutcome& o : sash::mining::MineAll()) {
     if (!o.ok) {
+      ++failures;
       rows.push_back({o.command, "-", "-", "-", "-", "FAILED: " + o.error});
       continue;
     }
+    ++mined;
+    total_cases += o.cases;
     char pct[16];
     std::snprintf(pct, sizeof(pct), "%.1f%%", 100.0 * o.validation.Agreement());
     rows.push_back({o.command, std::to_string(o.invocations), std::to_string(o.environments),
@@ -31,6 +32,10 @@ void PrintResult() {
   }
   rows.push_back({"total", "", "", std::to_string(total_probes), "", ""});
   sash::bench::PrintTable("F4: Fig. 4 spec inference (docs -> probes -> Hoare triples)", rows);
+  sash::bench::Metric("mining.commands_mined", mined);
+  sash::bench::Metric("mining.failures", failures);
+  sash::bench::Metric("mining.probes", total_probes);
+  sash::bench::Metric("mining.cases", total_cases);
 
   // The paper's worked example rendered from the *mined* spec.
   sash::mining::MiningOutcome rm = sash::mining::MineCommand("rm");

@@ -177,7 +177,6 @@ void PrintResult() {
   options.jobs = 4;
   options.batch.use_cache = true;
   options.batch.cache_dir = cache_dir;
-  options.batch.obs.metrics = &sash::bench::Metrics();
   sash::serve::Server server(std::move(options));
   std::string error;
   if (!server.Start(&error)) {
@@ -238,6 +237,9 @@ void PrintResult() {
 
   server.Stop();
   sash::serve::ServerStats stats = server.stats();
+  for (const auto& [name, value] : server.StatValues()) {
+    sash::bench::Metric(name, value);
+  }
 
   // S1c: isolation overhead. The same warm corpus through a server whose
   // every request forks an rlimit-capped worker (--isolate). The delta vs

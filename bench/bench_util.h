@@ -16,11 +16,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
-#include "obs/metrics.h"
+#include "obs/procstat.h"
 #include "obs/report.h"
 
 namespace sash::bench {
@@ -53,25 +49,25 @@ inline void PrintTable(const std::string& title,
   std::printf("\n");
 }
 
-// Registry the bench report embeds; benches record experiment-level results
-// into it (usually via Metric()) so they land in the JSON next to the timings.
-inline obs::Registry& Metrics() {
-  static obs::Registry registry;
-  return registry;
+// The named results the bench report embeds; benches record experiment-level
+// results into it (usually via Metric()) so they land in the JSON next to the
+// timings.
+inline obs::NamedValues& Metrics() {
+  static obs::NamedValues metrics;
+  return metrics;
 }
 
 // Records one named experiment result (a count, a peak, a table cell worth
-// keeping) as a gauge in the bench report.
+// keeping) in the bench report.
 inline void Metric(std::string_view name, int64_t value) {
-  Metrics().gauge(name)->Set(value);
+  Metrics().insert_or_assign(std::string(name), value);
 }
 
-// Cache-effectiveness counters. The report schema surfaces these as the
+// Cache-effectiveness counts. The report schema surfaces these as the
 // top-level "cache":{"hits","misses"} object (schema sash-bench-v1); benches
-// that exercise the incremental cache bump them (or pass Metrics() as the
-// batch driver's registry, which maintains the same counters).
-inline void CacheHit(int64_t n = 1) { Metrics().counter("cache.hits")->Add(n); }
-inline void CacheMiss(int64_t n = 1) { Metrics().counter("cache.misses")->Add(n); }
+// that exercise the incremental cache add to them.
+inline void CacheHit(int64_t n = 1) { Metrics()["cache.hits"] += n; }
+inline void CacheMiss(int64_t n = 1) { Metrics()["cache.misses"] += n; }
 
 // Console reporter that also collects per-run results for the JSON report.
 // Aggregate rows (mean/median/stddev) are skipped — raw iterations only.
@@ -102,32 +98,6 @@ class RecordingReporter : public benchmark::ConsoleReporter {
   std::vector<obs::BenchRun> collected_;
 };
 
-// Peak resident set of this process in KiB, from VmHWM in /proc/self/status
-// (Linux), falling back to getrusage (ru_maxrss is KiB on Linux, bytes on
-// macOS). Returns 0 when neither source is available.
-inline int64_t PeakRssKb() {
-#if defined(__linux__)
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtoll(line.c_str() + 6, nullptr, 10);
-    }
-  }
-#endif
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-    return static_cast<int64_t>(usage.ru_maxrss) / 1024;
-#else
-    return static_cast<int64_t>(usage.ru_maxrss);
-#endif
-  }
-#endif
-  return 0;
-}
-
 // Bench name from argv[0]: basename, "bench_" prefix stripped.
 inline std::string BenchNameFromArgv0(const char* argv0) {
   std::string name = std::filesystem::path(argv0).filename().string();
@@ -152,7 +122,7 @@ inline void WriteBenchReport(const std::string& bench_name,
     std::fprintf(stderr, "bench: cannot write %s\n", path.string().c_str());
     return;
   }
-  out << obs::BenchReportJson(bench_name, runs, &Metrics(), PeakRssKb()) << '\n';
+  out << obs::BenchReportJson(bench_name, runs, Metrics(), obs::PeakRssKb()) << '\n';
   std::printf("wrote %s\n", path.string().c_str());
 }
 

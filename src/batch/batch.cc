@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "batch/commit_queue.h"
 #include "batch/isolate.h"
 #include "obs/procstat.h"
 #include "util/faultinject.h"
@@ -115,13 +114,20 @@ FileStatus ClassifyDegraded(std::string_view reason) {
 
 }  // namespace
 
+void CrashStats::Add(const CrashStats& other) {
+  workers += other.workers;
+  oom += other.oom;
+  worker_exits += other.worker_exits;
+  spawn_fallbacks += other.spawn_fallbacks;
+  quarantined += other.quarantined;
+}
+
 FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& path,
                                const std::string& source, Cache* cache,
                                util::CancelToken* abort, util::CancelToken* budget,
                                CacheCommitQueue* commit) {
   obs::StopWatch watch;
-  obs::Span span(options.obs.journal, "analyze");
-  obs::Registry* metrics = options.obs.metrics;
+  obs::Span span(options.journal, "analyze");
   FileResult result;
   result.path = path;
 
@@ -176,9 +182,7 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
       }
       // Undecodable entry (foreign version, torn write, bit rot): the
       // checksum demoted it to a miss — fall through, re-analyze, overwrite.
-      if (metrics != nullptr) {
-        metrics->counter("cache.corrupt_entries")->Add(1);
-      }
+      cache->CountCorrupt();
     }
   }
 
@@ -188,7 +192,7 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   // clamped by the caller and it stays cancellable from outside.
   util::CancelToken local_budget;
   core::AnalyzerOptions per_file = options.analyzer;
-  per_file.obs = options.obs;  // Shared journal/registry are thread-safe.
+  per_file.journal = options.journal;  // The shared journal is thread-safe.
   if (budget != nullptr) {
     per_file.cancel = budget;
   } else if (options.deadline_ms > 0) {
@@ -203,9 +207,10 @@ FileResult AnalyzeSourceCached(const BatchOptions& options, const std::string& p
   result.ok = true;
   result.status = report.degraded() ? ClassifyDegraded(report.degraded_reason()) : FileStatus::kOk;
   result.degraded_reason = report.degraded_reason();
-  result.report_json = report.ToJson(nullptr);
+  result.report_json = report.ToJson();
   result.report_text = report.ToString();
   result.warnings_or_worse = static_cast<int64_t>(report.CountSeverity(Severity::kWarning));
+  result.stats = report.stats();
 
   if (cache != nullptr && CacheableReason(result.degraded_reason)) {
     AnalysisEntry entry;
@@ -251,10 +256,9 @@ BatchResult BatchDriver::RunSources(
 BatchResult BatchDriver::RunSourcesImpl(
     const std::vector<std::pair<std::string, std::string>>& sources,
     const std::vector<std::string>* read_errors) {
-  obs::Registry* metrics = options_.obs.metrics;
   std::optional<Cache> cache;
   if (options_.use_cache) {
-    cache.emplace(options_.cache_dir, metrics);
+    cache.emplace(options_.cache_dir);
   }
 
   BatchResult result;
@@ -265,13 +269,12 @@ BatchResult BatchDriver::RunSourcesImpl(
   util::CancelToken abort_token;
   util::CancelToken* abort = options_.fail_fast ? &abort_token : nullptr;
 
-  // The sampler thread keeps the "process.rss_kb" gauge, the trace's rss_kb
-  // counter track, and the journal's rss events in agreement for the whole
-  // batch window; it is inert when no hooks are attached.
-  obs::RssSampler rss_sampler(options_.obs);
-  if (options_.obs.journal != nullptr) {
-    options_.obs.journal->Emit(obs::EventKind::kMark, "batch.start",
-                               static_cast<int64_t>(sources.size()));
+  // The sampler thread journals rss events (the trace's rss_kb counter
+  // track) for the whole batch window; it is inert without a journal.
+  obs::RssSampler rss_sampler(options_.journal);
+  if (options_.journal != nullptr) {
+    options_.journal->Emit(obs::EventKind::kMark, "batch.start",
+                           static_cast<int64_t>(sources.size()));
   }
 
   // One committer per batch: workers enqueue encoded entries into per-worker
@@ -287,9 +290,9 @@ BatchResult BatchDriver::RunSourcesImpl(
   std::optional<util::ThreadPool> pool;
   std::optional<CacheCommitQueue> commit;
   if (sources.size() != 1 || options_.isolate) {
-    pool.emplace(options_.jobs, options_.obs);
+    pool.emplace(options_.jobs, options_.journal);
     if (cache.has_value()) {
-      commit.emplace(&*cache, pool->size(), metrics);
+      commit.emplace(&*cache, pool->size());
     }
   }
   auto analyze = [this, &sources, &result, &cache, &commit, abort](size_t i) {
@@ -331,32 +334,22 @@ BatchResult BatchDriver::RunSourcesImpl(
     commit->Flush();
   }
 
+  // Workers wrote statistics only to their own FileResult; sum them now that
+  // the pool has drained.
+  result.jobs = pool.has_value() ? pool->size() : 1;
+  result.steals = pool.has_value() ? pool->steals() : 0;
   for (const FileResult& f : result.files) {
     if (options_.use_cache && f.ok) {
       f.cached ? ++result.cache_hits : ++result.cache_misses;
     }
+    result.analysis.Add(f.stats);
+    result.crash.Add(f.crash);
   }
-  if (metrics != nullptr) {
-    metrics->counter("batch.files")->Add(static_cast<int64_t>(sources.size()));
-    metrics->counter("batch.steals")->Add(pool.has_value() ? pool->steals() : 0);
-    metrics->gauge("batch.jobs")->Set(pool.has_value() ? pool->size() : 1);
-    metrics->counter("resilience.timeouts")
-        ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kTimedOut)));
-    metrics->counter("resilience.degraded")
-        ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kDegraded)));
-    metrics->counter("resilience.failed")
-        ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kFailed)));
-    metrics->counter("resilience.crashed")
-        ->Add(static_cast<int64_t>(result.CountStatus(FileStatus::kCrashed)));
-    if (util::FaultInjector::enabled()) {
-      metrics->gauge("faults.injected")->Set(util::FaultInjector::fires());
-    }
-    obs::Histogram* h = metrics->histogram("batch.file_micros");
-    for (const FileResult& f : result.files) {
-      if (f.ok) {
-        h->Observe(f.micros);
-      }
-    }
+  if (cache.has_value()) {
+    result.cache = cache->stats();
+  }
+  if (commit.has_value()) {
+    result.commit = commit->stats();
   }
   return result;
 }

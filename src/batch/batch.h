@@ -18,12 +18,11 @@
 #include <vector>
 
 #include "batch/cache.h"
+#include "batch/commit_queue.h"
 #include "core/analyzer.h"
 #include "obs/obs.h"
 
 namespace sash::batch {
-
-class CacheCommitQueue;
 
 // Schema tag of the multi-file CLI/JSON document.
 inline constexpr char kBatchSchema[] = "sash-batch-v1";
@@ -36,7 +35,7 @@ struct BatchOptions {
   // External annotation directives (.sasht text), applied to every file and
   // folded into the cache key — editing the annotations invalidates entries.
   std::string annotations_text;
-  obs::Hooks obs;                     // Shared journal/metrics (thread-safe).
+  obs::EventJournal* journal = nullptr;  // Shared event journal (thread-safe).
 
   // Resilience controls.
   int64_t deadline_ms = 0;  // Per-file analysis wall-clock budget; 0 = none.
@@ -69,6 +68,18 @@ std::string_view FileStatusName(FileStatus status);
 // Inverse of FileStatusName; an unknown name decodes as kFailed.
 FileStatus FileStatusFromName(std::string_view name);
 
+// Crash-containment events (`--isolate`). Per file each count is 0 or 1;
+// the batch sums them ("crash.*" in `--stats`).
+struct CrashStats {
+  int64_t workers = 0;          // The worker died: signal, rss cap or watchdog.
+  int64_t oom = 0;              // ...under the rss cap.
+  int64_t worker_exits = 0;     // The worker exited without a result.
+  int64_t spawn_fallbacks = 0;  // No worker could start; analyzed in-process.
+  int64_t quarantined = 0;      // Repro banked under <cache>/quarantine/.
+
+  void Add(const CrashStats& other);
+};
+
 // The outcome for one input file.
 struct FileResult {
   std::string path;
@@ -77,16 +88,29 @@ struct FileResult {
   FileStatus status = FileStatus::kFailed;
   std::string degraded_reason;  // Machine-readable, for kDegraded/kTimedOut.
   std::string error;          // Read-failure description when !ok.
-  std::string report_json;    // AnalysisReport::ToJson(nullptr) bytes.
+  std::string report_json;    // AnalysisReport::ToJson() bytes.
   std::string report_text;    // AnalysisReport::ToString() bytes.
   int64_t warnings_or_worse = 0;
   int64_t micros = 0;         // Wall time spent on this file by the driver.
+  // Counts of the analysis this process ran for the file; zero when the
+  // report came from the cache, an isolated worker or a server.
+  core::AnalysisStats stats;
+  CrashStats crash;
 };
 
 struct BatchResult {
   std::vector<FileResult> files;  // Same order as the input list.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
+  int64_t cache_hits = 0;         // Files served from the cache.
+  int64_t cache_misses = 0;       // Files analyzed with the cache enabled.
+
+  // Run statistics, gathered after the pool drains (`--stats`).
+  int jobs = 1;                   // Pool threads; 1 when run inline.
+  int64_t steals = 0;             // Pool tasks stolen between workers.
+  core::AnalysisStats analysis;   // Sum of files[i].stats.
+  CrashStats crash;               // Sum of files[i].crash.
+  Cache::Stats cache;              // The run's cache; zero without one.
+  CacheCommitQueue::Stats commit;  // The run's commit queue; zero when the
+                                   // run had none (one inline file).
 
   bool AnyError() const;
   bool AnyFindings() const;

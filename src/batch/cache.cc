@@ -209,15 +209,27 @@ std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload) {
   return entry;
 }
 
-Cache::Cache(std::filesystem::path root, obs::Registry* metrics)
-    : root_(root.empty() ? DefaultRoot() : std::move(root)), metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    hits_ = metrics_->counter("cache.hits");
-    misses_ = metrics_->counter("cache.misses");
-    retries_ = metrics_->counter("cache.retries");
-    write_failures_ = metrics_->counter("cache.write_failures");
-    readonly_gauge_ = metrics_->gauge("cache.readonly");
-  }
+Cache::Cache(std::filesystem::path root)
+    : root_(root.empty() ? DefaultRoot() : std::move(root)) {}
+
+Cache::Stats Cache::stats() const {
+  Stats out;
+  out.hits = hits_.load(std::memory_order_relaxed);
+  out.misses = misses_.load(std::memory_order_relaxed);
+  out.retries = retries_.load(std::memory_order_relaxed);
+  out.write_failures = write_failures_.load(std::memory_order_relaxed);
+  out.corrupt_entries = corrupt_entries_.load(std::memory_order_relaxed);
+  out.read_only = read_only();
+  return out;
+}
+
+void AddCacheStats(const Cache::Stats& stats, obs::NamedValues* values) {
+  (*values)["cache.hits"] = stats.hits;
+  (*values)["cache.misses"] = stats.misses;
+  (*values)["cache.retries"] = stats.retries;
+  (*values)["cache.write_failures"] = stats.write_failures;
+  (*values)["cache.corrupt_entries"] = stats.corrupt_entries;
+  (*values)["cache.readonly"] = stats.read_only ? 1 : 0;
 }
 
 std::filesystem::path Cache::DefaultRoot() {
@@ -247,24 +259,21 @@ std::optional<std::string> Cache::Get(std::string_view kind, std::string_view ke
     util::FaultInjector::ApplyDelay(fault);
     if (fault.action == util::FaultAction::kFail) {
       // Simulated unreadable entry: exactly the real miss path below.
-      if (misses_ != nullptr) {
-        misses_->Add(1);
-      }
+      misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
   }
   std::string payload;
   if (!util::ReadFile(path.string(), &payload)) {
-    if (misses_ != nullptr) {
-      misses_->Add(1);
-    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   // Simulated torn/bit-flipped entry: the checksum in the payload makes the
   // decoder reject it, so downstream sees a corrupt-entry miss.
   util::FaultInjector::ApplyPayloadFault(fault, &payload);
-  if (hits_ != nullptr) {
-    hits_->Add(1);
+  const int64_t hits = hits_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (obs::EventJournal* journal = obs::EventJournal::Global(); journal != nullptr) {
+    journal->Emit(obs::EventKind::kCounter, "cache.hits", hits);
   }
   return payload;
 }
@@ -275,9 +284,7 @@ bool Cache::Put(std::string_view kind, std::string_view key, std::string_view pa
   // sleeps. The failure still counts (a dashboard watching
   // cache.write_failures must see the true uninstalled-entry count).
   if (read_only_.load(std::memory_order_acquire)) {
-    if (write_failures_ != nullptr) {
-      write_failures_->Add(1);
-    }
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   obs::Span span(obs::EventJournal::Global(), "cache.write");
@@ -292,9 +299,7 @@ bool Cache::Put(std::string_view kind, std::string_view key, std::string_view pa
   bool disk_full = false;
   for (int attempt = 0; attempt < kPutAttempts; ++attempt) {
     if (attempt > 0) {
-      if (retries_ != nullptr) {
-        retries_->Add(1);
-      }
+      retries_.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms *= 4;
     }
@@ -318,9 +323,6 @@ void Cache::EnterReadOnly() {
                "sash: cache device out of space (ENOSPC/EDQUOT) at %s; "
                "cache is read-only for the rest of this run\n",
                root_.c_str());
-  if (readonly_gauge_ != nullptr) {
-    readonly_gauge_->Set(1);
-  }
   if (obs::EventJournal* journal = obs::EventJournal::Global(); journal != nullptr) {
     journal->Emit(obs::EventKind::kMark, "cache.readonly", 1);
   }
@@ -347,9 +349,7 @@ bool Cache::PutOnce(const std::filesystem::path& path, std::string_view payload,
       if (write_fault.action == util::FaultAction::kEnospc && disk_full != nullptr) {
         *disk_full = true;
       }
-      if (write_failures_ != nullptr) {
-        write_failures_->Add(1);
-      }
+      write_failures_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     if (write_fault.action == util::FaultAction::kTorn ||
@@ -382,9 +382,7 @@ bool Cache::PutOnce(const std::filesystem::path& path, std::string_view payload,
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) {
     note_disk_full(errno);
-    if (write_failures_ != nullptr) {
-      write_failures_->Add(1);
-    }
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   size_t off = 0;
@@ -404,25 +402,19 @@ bool Cache::PutOnce(const std::filesystem::path& path, std::string_view payload,
   ::close(fd);
   if (!write_ok) {
     std::filesystem::remove(tmp, ec);
-    if (write_failures_ != nullptr) {
-      write_failures_->Add(1);
-    }
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   if (rename_fault.action == util::FaultAction::kFail) {
     std::filesystem::remove(tmp, ec);
-    if (write_failures_ != nullptr) {
-      write_failures_->Add(1);
-    }
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     note_disk_full(ec.value());
     std::filesystem::remove(tmp, ec);
-    if (write_failures_ != nullptr) {
-      write_failures_->Add(1);
-    }
+    write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   return true;

@@ -18,6 +18,7 @@
 #define SASH_BATCH_CACHE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -80,10 +81,19 @@ std::optional<AnalysisEntry> DecodeAnalysisEntry(std::string_view payload);
 
 class Cache {
  public:
+  // The cache's own counts over its lifetime ("cache.*" in `--stats`).
+  struct Stats {
+    int64_t hits = 0;             // Gets that read an entry.
+    int64_t misses = 0;           // Gets that found none (or an injected fault).
+    int64_t retries = 0;          // Put attempts beyond each first.
+    int64_t write_failures = 0;   // Failed attempts and refused Puts.
+    int64_t corrupt_entries = 0;  // Read entries the caller could not decode.
+    bool read_only = false;       // See Put.
+  };
+
   // `root` empty selects DefaultRoot(). The directory is created lazily on
-  // first Put. Metrics (optional): "cache.hits", "cache.misses",
-  // "cache.write_failures", "cache.retries".
-  explicit Cache(std::filesystem::path root, obs::Registry* metrics = nullptr);
+  // first Put.
+  explicit Cache(std::filesystem::path root);
 
   // $SASH_CACHE_DIR, else $XDG_CACHE_HOME/sash, else $HOME/.cache/sash, else
   // a sash subdirectory of the system temp directory.
@@ -92,8 +102,14 @@ class Cache {
   const std::filesystem::path& root() const { return root_; }
 
   // Reads the entry for `key` under `kind` (e.g. "analysis"); nullopt on
-  // miss or an unreadable/undecodable entry (counted as a miss).
+  // miss or an unreadable entry (counted as a miss). Each hit also journals
+  // the running hit count as a "cache.hits" counter event on
+  // EventJournal::Global() (the trace's "cache.hits" track).
   std::optional<std::string> Get(std::string_view kind, std::string_view key);
+
+  // Counts an entry Get returned that the caller could not decode; the
+  // caller treats it as a miss and recomputes.
+  void CountCorrupt() { corrupt_entries_.fetch_add(1, std::memory_order_relaxed); }
 
   // Atomically installs `payload` for `key`, retrying transient I/O failures
   // with exponential backoff (kPutAttempts attempts; "cache.retries" counts
@@ -103,13 +119,15 @@ class Cache {
   // Resource-exhaustion degradation: when a write fails persistently with
   // ENOSPC/EDQUOT (a full disk does not get less full between backoff
   // sleeps), the cache flips to read-only for the rest of the run — one
-  // warning on stderr, "cache.readonly" gauge set to 1, and every later Put
-  // short-circuits without paying the retry backoff ("cache.write_failures"
-  // still counts each one). Gets are unaffected: warm entries keep serving.
+  // warning on stderr, a "cache.readonly" journal mark, and every later Put
+  // short-circuits without paying the retry backoff (write_failures still
+  // counts each one). Gets are unaffected: warm entries keep serving.
   bool Put(std::string_view kind, std::string_view key, std::string_view payload);
 
   // True once a persistent disk-full condition demoted writes to no-ops.
   bool read_only() const { return read_only_.load(std::memory_order_acquire); }
+
+  Stats stats() const;
 
   static constexpr int kPutAttempts = 3;
 
@@ -120,17 +138,18 @@ class Cache {
   std::filesystem::path EntryPath(std::string_view kind, std::string_view key) const;
 
   std::filesystem::path root_;
-  obs::Registry* metrics_;
   std::atomic<bool> read_only_{false};
-  // Instrument handles, resolved once at construction: Get/Put run on every
-  // batch task, and a per-call registry lookup would take the registry lock
-  // (a probe site itself) once per counter bump on the hot path.
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* retries_ = nullptr;
-  obs::Counter* write_failures_ = nullptr;
-  obs::Gauge* readonly_gauge_ = nullptr;
+  // Relaxed: Get/Put run on every batch task and count without a lock.
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
+  std::atomic<int64_t> retries_{0};
+  std::atomic<int64_t> write_failures_{0};
+  std::atomic<int64_t> corrupt_entries_{0};
 };
+
+// Adds `stats` as "cache.{hits,misses,retries,write_failures,
+// corrupt_entries,readonly}".
+void AddCacheStats(const Cache::Stats& stats, obs::NamedValues* values);
 
 }  // namespace sash::batch
 

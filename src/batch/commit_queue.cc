@@ -6,19 +6,13 @@
 
 namespace sash::batch {
 
-CacheCommitQueue::CacheCommitQueue(Cache* cache, int lanes, obs::Registry* metrics)
-    : cache_(cache) {
+CacheCommitQueue::CacheCommitQueue(Cache* cache, int lanes) : cache_(cache) {
   if (lanes < 1) {
     lanes = 1;
   }
   lanes_.reserve(static_cast<size_t>(lanes));
   for (int i = 0; i < lanes; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
-  }
-  if (metrics != nullptr) {
-    enqueued_metric_ = metrics->counter("cache.commit.enqueued");
-    committed_metric_ = metrics->counter("cache.commit.committed");
-    drains_metric_ = metrics->counter("cache.commit.drains");
   }
   committer_ = std::thread([this] { CommitterLoop(); });
 }
@@ -48,9 +42,6 @@ void CacheCommitQueue::Enqueue(std::string kind, std::string key, std::string pa
     lane.items.push_back(Pending{std::move(kind), std::move(key), std::move(payload)});
   }
   enqueued_.fetch_add(1);  // seq_cst: must be ordered against the sleeping_ read below.
-  if (enqueued_metric_ != nullptr) {
-    enqueued_metric_->Add(1);
-  }
   if (sleeping_.load()) {
     // The committer parks only under wake_mu_ after re-checking the
     // counters, so taking the lock (empty critical section) before
@@ -89,17 +80,12 @@ void CacheCommitQueue::CommitterLoop() {
       }
     }
     if (!batch.empty()) {
-      if (drains_metric_ != nullptr) {
-        drains_metric_->Add(1);
-      }
+      drains_.fetch_add(1, std::memory_order_relaxed);
       for (Pending& p : batch) {
         // Best-effort like the synchronous path: Put already retries and
-        // counts "cache.write_failures"; a failed entry just stays cold.
+        // counts write failures; a failed entry just stays cold.
         cache_->Put(p.kind, p.key, p.payload);
         committed_.fetch_add(1, std::memory_order_release);
-      }
-      if (committed_metric_ != nullptr) {
-        committed_metric_->Add(static_cast<int64_t>(batch.size()));
       }
       {
         // Pair with Flush: only signal completion when fully caught up.

@@ -40,11 +40,17 @@ namespace sash::batch {
 
 class CacheCommitQueue {
  public:
+  // The queue's counts over its lifetime ("cache.commit.*" in `--stats`).
+  struct Stats {
+    int64_t enqueued = 0;
+    int64_t committed = 0;
+    int64_t drains = 0;  // Committer passes that found work.
+  };
+
   // `lanes` should match the driver's worker count (one lane per worker
   // keeps producers contention-free); clamped to >= 1. `cache` must outlive
-  // the queue. Metrics (optional): "cache.commit.enqueued",
-  // "cache.commit.committed", "cache.commit.drains".
-  CacheCommitQueue(Cache* cache, int lanes, obs::Registry* metrics = nullptr);
+  // the queue.
+  CacheCommitQueue(Cache* cache, int lanes);
   ~CacheCommitQueue();  // Flushes, then joins the committer.
   CacheCommitQueue(const CacheCommitQueue&) = delete;
   CacheCommitQueue& operator=(const CacheCommitQueue&) = delete;
@@ -63,6 +69,9 @@ class CacheCommitQueue {
 
   int64_t enqueued() const { return enqueued_.load(std::memory_order_relaxed); }
   int64_t committed() const { return committed_.load(std::memory_order_relaxed); }
+  Stats stats() const {
+    return {enqueued(), committed(), drains_.load(std::memory_order_relaxed)};
+  }
 
  private:
   struct Pending {
@@ -84,12 +93,10 @@ class CacheCommitQueue {
 
   Cache* cache_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  obs::Counter* enqueued_metric_ = nullptr;
-  obs::Counter* committed_metric_ = nullptr;
-  obs::Counter* drains_metric_ = nullptr;
 
   std::atomic<int64_t> enqueued_{0};
   std::atomic<int64_t> committed_{0};
+  std::atomic<int64_t> drains_{0};
   // True while the committer is (or is about to be) parked on wake_cv_:
   // producers elide the wakeup lock entirely when the committer is already
   // running. seq_cst on both sides makes flag-check and counter-bump

@@ -142,7 +142,6 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
                                  const std::string& source, Cache* cache,
                                  util::CancelToken* abort) {
   obs::StopWatch watch;
-  obs::Registry* metrics = options.obs.metrics;
   FileResult result;
   result.path = path;
 
@@ -165,17 +164,13 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
   // pattern caches) for free; cache entries it installs are atomic-rename
   // files the parent's next Get sees normally.
   //
-  // The worker runs without observability hooks. Whatever it records dies
-  // with it, and a hook can take a lock that another parent thread held at
-  // fork time: a sibling's crash accounting below looks counters up under
-  // the registry mutex, and a worker forked meanwhile would wait on that
-  // mutex until the wall backstop killed it.
+  // The worker runs without the journal: whatever it records dies with it.
   util::WorkerResult worker = util::RunInWorker(
       [&options, &path, &source, cache]() {
-        BatchOptions unhooked = options;
-        unhooked.obs = {};
+        BatchOptions unjournaled = options;
+        unjournaled.journal = nullptr;
         FileResult inner =
-            AnalyzeSourceCached(unhooked, path, source, cache, /*abort=*/nullptr,
+            AnalyzeSourceCached(unjournaled, path, source, cache, /*abort=*/nullptr,
                                 /*budget=*/nullptr, /*commit=*/nullptr);
         return EncodeWorkerResult(inner);
       },
@@ -197,11 +192,9 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
       // No child ever ran (fork/pipe refused — fd or process pressure).
       // Containment is best-effort on top of a correct pipeline; a healthy
       // script must not fail because the OS was briefly out of processes.
-      if (metrics != nullptr) {
-        metrics->counter("crash.spawn_fallbacks")->Add(1);
-      }
       result = AnalyzeSourceCached(options, path, source, cache, abort,
                                    /*budget=*/nullptr, /*commit=*/nullptr);
+      result.crash.spawn_fallbacks = 1;
       return result;
     }
     case util::WorkerOutcome::kCrashed:
@@ -225,21 +218,15 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
       result.status = FileStatus::kFailed;
       result.error = worker.error;
       result.micros = watch.ElapsedMicros();
-      if (metrics != nullptr) {
-        metrics->counter("crash.worker_exits")->Add(1);
-      }
+      result.crash.worker_exits = 1;
       return result;
   }
 
   // Crash-class outcomes: count, journal, and bank the repro script.
-  if (metrics != nullptr) {
-    metrics->counter("crash.workers")->Add(1);
-    if (worker.outcome == util::WorkerOutcome::kOom) {
-      metrics->counter("crash.oom")->Add(1);
-    }
-  }
+  result.crash.workers = 1;
+  result.crash.oom = worker.outcome == util::WorkerOutcome::kOom ? 1 : 0;
   if (obs::EventJournal* journal =
-          options.obs.journal != nullptr ? options.obs.journal : obs::EventJournal::Global();
+          options.journal != nullptr ? options.journal : obs::EventJournal::Global();
       journal != nullptr) {
     journal->Emit(obs::EventKind::kMark, "crash.worker", worker.term_signal);
   }
@@ -251,9 +238,7 @@ FileResult AnalyzeSourceIsolated(const BatchOptions& options, const std::string&
   }
   std::string repro = BankQuarantine(bank_root, path, source, result);
   if (!repro.empty()) {
-    if (metrics != nullptr) {
-      metrics->counter("crash.quarantined")->Add(1);
-    }
+    result.crash.quarantined = 1;
     result.error += "; repro banked at " + repro;
   }
   result.micros = watch.ElapsedMicros();

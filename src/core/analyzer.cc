@@ -8,6 +8,7 @@
 #include "regex/regex.h"
 #include "util/intern.h"
 
+
 namespace sash::core {
 
 bool AnalysisReport::HasCode(std::string_view code) const {
@@ -52,7 +53,15 @@ std::string AnalysisReport::ToString() const {
   return out;
 }
 
-std::string AnalysisReport::ToJson(const obs::Registry* metrics) const {
+void AnalysisStats::Add(const AnalysisStats& other) {
+  runs += other.runs;
+  findings += other.findings;
+  warnings_or_worse += other.warnings_or_worse;
+  engine.Add(other.engine);
+  stream.Add(other.stream);
+}
+
+std::string AnalysisReport::ToJson() const {
   obs::JsonWriter w;
   w.BeginObject();
   w.KV("schema", kAnalysisSchema);
@@ -89,24 +98,27 @@ std::string AnalysisReport::ToJson(const obs::Registry* metrics) const {
   w.EndArray();
   w.KV("total_micros", total_micros());
   w.Key("stats").BeginObject();
+  const symex::EngineStats& engine = stats_.engine;
   w.Key("engine").BeginObject();
-  w.KV("commands_executed", int64_t{engine_stats_.commands_executed});
-  w.KV("forks", int64_t{engine_stats_.forks});
-  w.KV("states_peak", int64_t{engine_stats_.states_peak});
-  w.KV("states_merged", int64_t{engine_stats_.states_merged});
-  w.KV("states_dropped", int64_t{engine_stats_.states_dropped});
-  w.KV("depth_cap_hits", int64_t{engine_stats_.depth_cap_hits});
-  w.KV("final_states", int64_t{engine_stats_.final_states});
-  w.KV("fs_ops", int64_t{engine_stats_.fs_ops});
+  w.KV("commands_executed", int64_t{engine.commands_executed});
+  w.KV("forks", int64_t{engine.forks});
+  w.KV("states_peak", int64_t{engine.states_peak});
+  w.KV("states_merged", int64_t{engine.states_merged});
+  w.KV("states_dropped", int64_t{engine.states_dropped});
+  w.KV("depth_cap_hits", int64_t{engine.depth_cap_hits});
+  w.KV("final_states", int64_t{engine.final_states});
+  w.KV("fs_ops", int64_t{engine.fs_ops});
   w.EndObject();
-  w.KV("pipelines_checked", int64_t{pipelines_checked_});
+  w.KV("pipelines_checked", int64_t{stats_.stream.pipelines_checked});
   w.EndObject();
-  if (metrics != nullptr) {
-    w.Key("metrics");
-    metrics->WriteJson(&w);
-  }
   w.EndObject();
   return w.Take();
+}
+
+void AddHotpathStats(obs::NamedValues* values) {
+  (*values)["hotpath.intern.size"] = static_cast<int64_t>(util::Interner::size());
+  (*values)["hotpath.dfa_cache.hits"] = static_cast<int64_t>(regex::PatternCache::Hits());
+  (*values)["hotpath.dfa_cache.misses"] = static_cast<int64_t>(regex::PatternCache::Misses());
 }
 
 void Analyzer::AddAnnotations(annot::AnnotationSet annotations) {
@@ -148,11 +160,11 @@ AnalysisReport Analyzer::AnalyzeSource(std::string_view source) {
 
   std::vector<PhaseTiming> front_phases;
 
-  obs::Span parse_phase = obs::Span::Phase(options_.obs.journal, "parse");
+  obs::Span parse_phase = obs::Span::Phase(options_.journal, "parse");
   syntax::ParseOutput parsed = syntax::Parse(source);
   front_phases.push_back({"parse", parse_phase.End()});
 
-  obs::Span annot_phase = obs::Span::Phase(options_.obs.journal, "annotations");
+  obs::Span annot_phase = obs::Span::Phase(options_.journal, "annotations");
   DiagnosticSink annot_sink;
   annot::AnnotationSet annotations =
       options_.apply_annotations ? annot::ParseInlineAnnotations(source, &annot_sink)
@@ -188,7 +200,6 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
   AnalysisReport report;
   report.findings_ = std::move(initial);
 
-  obs::Registry* metrics = options_.obs.metrics;
   util::CancelToken* cancel = options_.cancel;
 
   // Runs `body` as a named, timed phase; the wall time always lands in the
@@ -199,7 +210,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     if (cancel != nullptr && cancel->CheckNow()) {
       return;
     }
-    obs::Span timer = obs::Span::Phase(options_.obs.journal, name);
+    obs::Span timer = obs::Span::Phase(options_.journal, name);
     body();
     report.phase_timings_.push_back({name, timer.End()});
   };
@@ -208,9 +219,6 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
   // — external (.sasht) directives first, inline ones on top.
   rtypes::TypeLibrary types = rtypes::TypeLibrary::Default();
   DiagnosticSink sink;
-  if (metrics != nullptr) {
-    sink.CountInto(metrics->counter("diagnostics.warnings_or_worse"), Severity::kWarning);
-  }
   annot::AnnotationSet::Resolved resolved = external_annotations_.ResolveInto(&types, &sink);
   annot::AnnotationSet::Resolved inline_resolved = annotations.ResolveInto(&types, &sink);
   for (auto& ct : inline_resolved.command_types) {
@@ -231,12 +239,11 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
   if (options_.enable_stream_types) {
     phase("stream-typing", [&] {
       stream::PipelineChecker checker(types);
-      checker.set_metrics(metrics);
       checker.set_cancel(cancel);
       for (auto& [name, type] : resolved.command_types) {
         checker.AddCommandType(name, type);
       }
-      report.pipelines_checked_ = checker.CheckProgram(program, &sink);
+      report.stats_.stream = checker.CheckProgram(program, &sink);
     });
   }
 
@@ -250,7 +257,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     phase("symex", [&] {
       symex::Engine engine(engine_options, &sink);
       finals = engine.Run(program);
-      report.engine_stats_ = engine.stats();
+      report.stats_.engine = engine.stats();
     });
 
     if (options_.enable_idempotence_check) {
@@ -311,6 +318,7 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     });
   }
 
+  report.stats_.warnings_or_worse = static_cast<int>(sink.CountAtLeast(Severity::kWarning));
   for (Diagnostic& d : sink.TakeAll()) {
     report.findings_.push_back(std::move(d));
   }
@@ -332,13 +340,13 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
     report.degraded_reason_ = util::CancelReasonName(cancel->reason());
     incomplete("analysis cancelled (" + report.degraded_reason_ +
                "); later phases were skipped and findings may be partial");
-  } else if (report.engine_stats_.states_dropped > 0) {
+  } else if (report.stats_.engine.states_dropped > 0) {
     report.degraded_ = true;
     report.degraded_reason_ = util::CancelReasonName(util::CancelReason::kStateCap);
     incomplete("symbolic execution hit the state cap (" +
                std::to_string(options_.engine.max_states) +
                "); some execution paths were dropped and findings may be partial");
-  } else if (report.engine_stats_.depth_cap_hits > 0) {
+  } else if (report.stats_.engine.depth_cap_hits > 0) {
     report.degraded_ = true;
     report.degraded_reason_ = util::CancelReasonName(util::CancelReason::kDepthCap);
     incomplete("symbolic execution hit the call-depth cap (" +
@@ -346,20 +354,8 @@ AnalysisReport Analyzer::Analyze(const syntax::Program& program,
                "); deeper calls and substitutions were not explored");
   }
 
-  if (metrics != nullptr) {
-    report.engine_stats_.PublishTo(metrics);
-    metrics->counter("analyzer.runs")->Add(1);
-    metrics->counter("analyzer.findings")->Add(static_cast<int64_t>(report.findings_.size()));
-    // Hot-path gauges are process-wide (interner and pattern cache are
-    // shared across analyses), so publish current totals rather than deltas.
-    // The dfa_cache pair counts derived-language and inclusion lookups too.
-    metrics->gauge("hotpath.intern.size")
-        ->Max(static_cast<int64_t>(util::Interner::size()));
-    metrics->gauge("hotpath.dfa_cache.hits")
-        ->Max(static_cast<int64_t>(regex::PatternCache::Hits()));
-    metrics->gauge("hotpath.dfa_cache.misses")
-        ->Max(static_cast<int64_t>(regex::PatternCache::Misses()));
-  }
+  report.stats_.runs = 1;
+  report.stats_.findings = static_cast<int>(report.findings_.size());
 
   // Sort by position, then severity (most severe first), then code; drop
   // exact duplicates.

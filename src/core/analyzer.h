@@ -9,6 +9,7 @@
 #ifndef SASH_CORE_ANALYZER_H_
 #define SASH_CORE_ANALYZER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,10 @@ struct AnalyzerOptions {
   symex::EngineOptions engine;
   lint::LintOptions lint;
 
-  // Observability: when attached, every phase is traced as a span and the
-  // subsystems publish their counters into the registry. Phase wall times are
-  // always recorded in the report (a handful of clock reads per analysis);
-  // with hooks unset nothing else is paid.
-  obs::Hooks obs;
+  // Observability: when attached, every phase is traced as a span. Phase
+  // wall times are always recorded in the report (a handful of clock reads
+  // per analysis); with no journal nothing else is paid.
+  obs::EventJournal* journal = nullptr;
 };
 
 // Wall time of one analysis phase, in the order the phases ran.
@@ -82,12 +82,29 @@ struct PhaseTiming {
   int64_t micros = 0;
 };
 
+// The counts of one analysis, summed over a batch by `--stats`. The report
+// JSON renders `engine` and `stream.pipelines_checked`; the other counts
+// stay out of the report bytes, and so out of the cache.
+struct AnalysisStats {
+  int runs = 0;               // 1 once the phases ran (not for an input
+                              // rejected by the byte gate).
+  int findings = 0;           // Findings before deduplication.
+  int warnings_or_worse = 0;  // Phase diagnostics at warning or above,
+                              // before deduplication.
+  symex::EngineStats engine;
+  stream::CheckStats stream;
+
+  // Sums `other` in (the engine's peak is the larger of the two).
+  void Add(const AnalysisStats& other);
+};
+
 class AnalysisReport {
  public:
   const std::vector<Diagnostic>& findings() const { return findings_; }
   bool parse_ok() const { return parse_ok_; }
-  const symex::EngineStats& engine_stats() const { return engine_stats_; }
-  int pipelines_checked() const { return pipelines_checked_; }
+  const AnalysisStats& stats() const { return stats_; }
+  const symex::EngineStats& engine_stats() const { return stats_.engine; }
+  int pipelines_checked() const { return stats_.stream.pipelines_checked; }
 
   // Per-phase wall times (always populated) and their sum.
   const std::vector<PhaseTiming>& phase_timings() const { return phase_timings_; }
@@ -110,9 +127,11 @@ class AnalysisReport {
   std::string ToString() const;
 
   // Machine-readable report (schema "sash-analysis-v1"): diagnostics,
-  // per-phase wall times, and engine stats in one JSON document. When
-  // `metrics` is non-null its snapshot is embedded under "metrics".
-  std::string ToJson(const obs::Registry* metrics = nullptr) const;
+  // per-phase wall times, and engine stats in one JSON document.
+  std::string ToJson() const;
+  // The same bytes, for callers written against the form that took an
+  // optional extra argument and always passed nullptr.
+  std::string ToJson(std::nullptr_t) const { return ToJson(); }
 
  private:
   friend class Analyzer;
@@ -120,10 +139,15 @@ class AnalysisReport {
   bool parse_ok_ = false;
   bool degraded_ = false;
   std::string degraded_reason_;
-  symex::EngineStats engine_stats_;
-  int pipelines_checked_ = 0;
+  AnalysisStats stats_;
   std::vector<PhaseTiming> phase_timings_;
 };
+
+// Adds the process-wide hot-path sizes, read now: "hotpath.intern.size" and
+// "hotpath.dfa_cache.{hits,misses}" (the interner and the pattern cache are
+// shared by every analysis in the process; the dfa_cache pair counts
+// derived-language and inclusion lookups too).
+void AddHotpathStats(obs::NamedValues* values);
 
 class Analyzer {
  public:

@@ -26,13 +26,12 @@ struct MiningOutcome {
   ValidationReport validation;  // Against BuiltinGroundTruth when available.
 };
 
-// Mines one command from the bundled corpus. With hooks attached, each stage
-// (doc-mine, probe, compile) is traced as a span and "mining.*" counters are
-// updated.
-MiningOutcome MineCommand(const std::string& name, const obs::Hooks& hooks = {});
+// Mines one command from the bundled corpus. With a journal attached, each
+// stage (doc-mine, probe, compile) is traced as a span.
+MiningOutcome MineCommand(const std::string& name, obs::EventJournal* journal = nullptr);
 
 // Mines every documented command; results sorted by name.
-std::vector<MiningOutcome> MineAll(const obs::Hooks& hooks = {});
+std::vector<MiningOutcome> MineAll(obs::EventJournal* journal = nullptr);
 
 // Registers every successfully mined spec into a library (mined specs
 // replace nothing — the library starts empty).

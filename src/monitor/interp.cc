@@ -5,7 +5,6 @@
 
 #include "fs/glob.h"
 #include "fs/path.h"
-#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace sash::monitor {
@@ -67,31 +66,9 @@ std::string RemovePattern(const std::string& value, const std::string& pattern, 
 
 Interpreter::Interpreter(fs::FileSystem* fs, InterpOptions options)
     : fs_(fs), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    commands_counter_ = options_.metrics->counter("monitor.commands_executed");
-    guard_blocks_counter_ = options_.metrics->counter("monitor.guard_blocks");
-    guard_latency_ns_ = options_.metrics->histogram("monitor.guard_check_ns");
-  }
   vars_["HOME"] = "/home/user";
   vars_["PATH"] = "/usr/local/bin:/usr/bin:/bin";
   vars_["PWD"] = fs_->cwd();
-}
-
-bool Interpreter::InvokeGuard(const std::vector<std::string>& argv,
-                              const std::vector<std::string>& pre_glob, std::string* reason) {
-  if (!command_hook_) {
-    return true;
-  }
-  if (guard_latency_ns_ == nullptr) {
-    return command_hook_(argv, pre_glob, reason);
-  }
-  obs::StopWatch watch;
-  bool ok = command_hook_(argv, pre_glob, reason);
-  guard_latency_ns_->Observe(watch.ElapsedNanos());
-  if (!ok && guard_blocks_counter_ != nullptr) {
-    guard_blocks_counter_->Add(1);
-  }
-  return ok;
 }
 
 InterpResult Interpreter::Run(const syntax::Program& program) {
@@ -813,12 +790,9 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   }
 
   // External command via the models, guarded by the monitor hook.
-  if (commands_counter_ != nullptr) {
-    commands_counter_->Add(1);
-  }
-  {
+  if (command_hook_) {
     std::string reason;
-    if (!InvokeGuard(argv, pre_glob, &reason)) {
+    if (!command_hook_(argv, pre_glob, &reason)) {
       aborted_ = true;
       abort_reason_ = reason;
       last_exit_ = 1;
@@ -830,10 +804,10 @@ int Interpreter::ExecSimple(const Command& cmd, ExecContext ctx) {
   EmitErr(run.err);
   if (!redirect_out_path.empty()) {
     // Redirection writes pass through the guard as synthetic commands.
-    {
+    if (command_hook_) {
       std::string reason;
       const std::vector<std::string> write{"__write__", redirect_out_path};
-      if (!InvokeGuard(write, write, &reason)) {
+      if (!command_hook_(write, write, &reason)) {
         aborted_ = true;
         abort_reason_ = reason;
         last_exit_ = 1;

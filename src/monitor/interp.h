@@ -13,7 +13,6 @@
 
 #include "exec/commands.h"
 #include "fs/filesystem.h"
-#include "obs/metrics.h"
 #include "syntax/ast.h"
 #include "util/cancel.h"
 
@@ -25,9 +24,6 @@ struct InterpOptions {
   std::string script_name = "script.sh";
   std::string stdin_data;
   int max_steps = 100000;                  // Command-execution budget.
-  // Optional observability: per-command guard-check latency and command
-  // counts land here as "monitor.*" instruments.
-  obs::Registry* metrics = nullptr;
   // Optional cooperative cancellation: polled once per interpreted command;
   // expiry aborts the run with a "sash-monitor:" reason on stderr.
   util::CancelToken* cancel = nullptr;
@@ -97,20 +93,12 @@ class Interpreter {
   void Emit(const ExecContext& ctx, std::string text);
   void EmitErr(const std::string& text);
 
-  // Runs the command hook (if any) with guard-check latency recorded.
-  bool InvokeGuard(const std::vector<std::string>& argv, const std::vector<std::string>& pre_glob,
-                   std::string* reason);
-
   fs::FileSystem* fs_;
   InterpOptions options_;
   std::map<std::string, std::string> vars_;
   std::map<std::string, const syntax::Command*> functions_;
   CommandHook command_hook_;
   BoundaryHook pipe_boundary_hook_;
-  // Cached instruments (null when options_.metrics is null).
-  obs::Counter* commands_counter_ = nullptr;
-  obs::Counter* guard_blocks_counter_ = nullptr;
-  obs::Histogram* guard_latency_ns_ = nullptr;
   std::string out_;
   std::string err_;
   int last_exit_ = 0;

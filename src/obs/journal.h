@@ -40,7 +40,7 @@ enum class EventKind : uint8_t {
   kRss,             // a=current RSS KiB, b=peak RSS KiB.
   kPhase,           // Analyzer phase completed: name=phase, ts_us=its
                     // start, a=micros, b=nesting depth (as for kSpan).
-  kCounter,         // Sampled registry counter: name, a=value.
+  kCounter,         // Counter sample (the cache's "cache.hits"): name, a=value.
   kMark,            // Free-form annotation (batch start, serve drain, ...).
   kSpan,            // Completed obs::Span: name, ts_us=its start,
                     // a=duration (us), b=nesting depth among the open
@@ -105,7 +105,7 @@ class EventJournal {
   // readable problems; empty when conforming.
   static std::vector<std::string> ValidateJsonl(std::string_view text);
 
-  // The process-global journal, for emitters with no Hooks in reach (the
+  // The process-global journal, for emitters with no journal in reach (the
   // cache, the isolation supervisor); null = journaling off, one relaxed
   // load per emission site. Not owning.
   static void SetGlobal(EventJournal* journal) {

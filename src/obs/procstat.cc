@@ -8,7 +8,6 @@
 #endif
 
 #include "obs/journal.h"
-#include "obs/metrics.h"
 
 namespace sash::obs {
 
@@ -61,15 +60,10 @@ int64_t PeakRssKb() {
   return 0;
 }
 
-RssSampler::RssSampler(Hooks hooks, int period_ms)
-    : hooks_(hooks), period_ms_(period_ms > 0 ? period_ms : 25) {
-  if (hooks_.metrics != nullptr) {
-    rss_gauge_ = hooks_.metrics->gauge("process.rss_kb");
-    peak_gauge_ = hooks_.metrics->gauge("process.peak_rss_kb");
-    cache_hits_ = hooks_.metrics->counter("cache.hits");
-  }
+RssSampler::RssSampler(EventJournal* journal, int period_ms)
+    : journal_(journal), period_ms_(period_ms > 0 ? period_ms : 25) {
   SampleOnce();
-  if (hooks_.enabled()) {
+  if (journal_ != nullptr) {
     thread_ = std::thread([this] {
       std::unique_lock<std::mutex> lock(mu_);
       while (!stop_) {
@@ -98,24 +92,12 @@ RssSampler::~RssSampler() {
 }
 
 void RssSampler::SampleOnce() {
-  if (!hooks_.enabled()) {
+  if (journal_ == nullptr) {
     return;  // Nothing would record the sample; skip the /proc read.
   }
   int64_t rss = CurrentRssKb();
-  if (rss <= 0) {
-    return;
-  }
-  if (rss_gauge_ != nullptr) {
-    rss_gauge_->Set(rss);
-  }
-  if (peak_gauge_ != nullptr) {
-    peak_gauge_->Max(rss);
-  }
-  if (hooks_.journal != nullptr) {
-    hooks_.journal->Emit(EventKind::kRss, "process.rss_kb", rss);
-    if (cache_hits_ != nullptr) {
-      hooks_.journal->Emit(EventKind::kCounter, "cache.hits", cache_hits_->value());
-    }
+  if (rss > 0) {
+    journal_->Emit(EventKind::kRss, "process.rss_kb", rss);
   }
 }
 

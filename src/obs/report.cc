@@ -3,7 +3,7 @@
 namespace sash::obs {
 
 std::string BenchReportJson(std::string_view bench_name, const std::vector<BenchRun>& runs,
-                            const Registry* metrics, int64_t peak_rss_kb) {
+                            const NamedValues& metrics, int64_t peak_rss_kb) {
   JsonWriter w;
   w.BeginObject();
   w.KV("schema", kBenchSchema);
@@ -19,19 +19,25 @@ std::string BenchReportJson(std::string_view bench_name, const std::vector<Bench
   }
   w.EndArray();
   // Cache effectiveness is a first-class bench result (the warm-path story):
-  // surfaced at the top level, mirroring the registry's cache.* counters.
-  MetricsSnapshot snapshot = metrics != nullptr ? metrics->Snapshot() : MetricsSnapshot{};
-  auto counter_or_zero = [&snapshot](const char* name) {
-    auto it = snapshot.counters.find(name);
-    return it == snapshot.counters.end() ? int64_t{0} : it->second;
+  // surfaced at the top level, mirroring the cache.* entries.
+  auto value_or_zero = [&metrics](std::string_view name) {
+    auto it = metrics.find(name);
+    return it == metrics.end() ? int64_t{0} : it->second;
   };
   w.Key("cache").BeginObject();
-  w.KV("hits", counter_or_zero("cache.hits"));
-  w.KV("misses", counter_or_zero("cache.misses"));
+  w.KV("hits", value_or_zero("cache.hits"));
+  w.KV("misses", value_or_zero("cache.misses"));
   w.EndObject();
   w.KV("peak_rss_kb", peak_rss_kb);
-  w.Key("metrics");
-  WriteSnapshotJson(snapshot, &w);
+  w.Key("metrics").BeginObject();
+  w.Key("counters").BeginObject().EndObject();
+  w.Key("gauges").BeginObject();
+  for (const auto& [name, value] : metrics) {
+    w.KV(name, value);
+  }
+  w.EndObject();
+  w.Key("histograms").BeginObject().EndObject();
+  w.EndObject();
   w.EndObject();
   return w.Take();
 }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace sash::obs {
 
@@ -26,12 +26,13 @@ struct BenchRun {
 };
 
 // Serializes {"schema","bench","runs":[...],"cache":{"hits","misses"},
-// "peak_rss_kb":N,"metrics":{...}}. The cache object mirrors the registry's
-// "cache.hits" / "cache.misses" counters (zero when absent). `metrics` may be
-// null (emitted as an empty snapshot with a zero cache object). `peak_rss_kb`
-// is the process peak resident set in KiB (0 when unknown).
+// "peak_rss_kb":N,"metrics":{"counters":{},"gauges":{...},"histograms":{}}}.
+// `metrics` holds the bench's named results (counts, peaks, table cells
+// worth keeping); each lands under metrics.gauges; the cache object mirrors
+// its "cache.hits" / "cache.misses" entries (zero when absent).
+// `peak_rss_kb` is the process peak resident set in KiB (0 when unknown).
 std::string BenchReportJson(std::string_view bench_name, const std::vector<BenchRun>& runs,
-                            const Registry* metrics, int64_t peak_rss_kb = 0);
+                            const NamedValues& metrics, int64_t peak_rss_kb = 0);
 
 // Validates a parsed bench report against the schema; returns human-readable
 // problems, empty when the document conforms.

@@ -8,9 +8,6 @@
 namespace sash::obs {
 
 Session::Session(SessionOptions options) : options_(std::move(options)) {
-  if (options_.metrics) {
-    metrics_ = std::make_unique<Registry>();
-  }
   if (!options_.journal_out.empty() || !options_.trace_out.empty() ||
       !options_.folded_out.empty()) {
     journal_ = std::make_unique<EventJournal>();

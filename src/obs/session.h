@@ -1,13 +1,13 @@
 // One command's observability set-up, paid for only as far as it is used.
-// Each sink — metrics registry, event journal — is built only when the run
-// asks for it; a Session with nothing requested allocates nothing and hands
-// out null hooks, so the disabled path costs one branch per instrumentation
-// site and no start-up time. The journal is the one timeline: the Chrome
-// trace and the folded stacks are views of it, rendered at Finish. `sash
+// The event journal is built only when the run asks for one of its views; a
+// Session with nothing requested allocates nothing and hands out a null
+// journal, so the disabled path costs one branch per instrumentation site
+// and no start-up time. The journal is the one timeline: the Chrome trace
+// and the folded stacks are views of it, rendered at Finish. `sash
 // analyze`, `sash serve` and each supervised daemon incarnation share it.
 //
-//   obs::Session session({.trace_out = "t.json", .metrics = stats});
-//   batch.obs = session.hooks();
+//   obs::Session session({.trace_out = "t.json"});
+//   batch.journal = session.journal();
 //   ... run ...
 //   if (!session.Finish("sash")) return 2;   // writes t.json
 #ifndef SASH_OBS_SESSION_H_
@@ -28,7 +28,6 @@ struct SessionOptions {
                               // collapsed stacks rendered from it.
                               // Any of the three installs the journal as
                               // EventJournal::Global() for the session.
-  bool metrics = false;       // Keep a metrics registry.
 };
 
 class Session {
@@ -38,8 +37,6 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  Hooks hooks() const { return {metrics(), journal()}; }
-  Registry* metrics() const { return metrics_.get(); }
   EventJournal* journal() const { return journal_.get(); }
 
   // Writes the requested views of the drained journal: the JSONL, the
@@ -49,7 +46,6 @@ class Session {
 
  private:
   SessionOptions options_;
-  std::unique_ptr<Registry> metrics_;
   std::unique_ptr<EventJournal> journal_;
 };
 

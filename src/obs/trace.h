@@ -5,8 +5,8 @@
 // in obs/profile.h), so there is one timeline with one epoch.
 //
 //   {
-//     obs::Span span(hooks.journal, "symex");   // null journal -> one branch,
-//     ...                                       // no clock read, no event
+//     obs::Span span(journal, "symex");   // null journal -> one branch,
+//     ...                                 // no clock read, no event
 //   }
 #ifndef SASH_OBS_TRACE_H_
 #define SASH_OBS_TRACE_H_

@@ -34,10 +34,13 @@ void Client::Close() {
   }
 }
 
-bool Client::ConnectOnce(std::string* error) {
+bool Client::ConnectOnce(int attempt, std::string* error) {
   if (util::FaultInjector::enabled()) {
-    util::FaultDecision fault =
-        util::FaultInjector::Check(util::FaultSite::kClientConnect, options_.socket_path);
+    // The attempt number makes each attempt roll on its own: with the bare
+    // socket path, which every attempt shares, a rate-gated rule would
+    // refuse every attempt or none.
+    util::FaultDecision fault = util::FaultInjector::Check(
+        util::FaultSite::kClientConnect, options_.socket_path + "@" + std::to_string(attempt));
     util::FaultInjector::ApplyDelay(fault);
     if (fault.action == util::FaultAction::kFail) {
       if (error != nullptr) {
@@ -60,7 +63,7 @@ bool Client::Connect(std::string* error) {
   }
   std::string last_error;
   for (int attempt = 1; attempt <= options_.connect_attempts; ++attempt) {
-    if (ConnectOnce(&last_error)) {
+    if (ConnectOnce(attempt, &last_error)) {
       return true;
     }
     if (attempt < options_.connect_attempts) {
@@ -130,7 +133,7 @@ CallResult Client::Call(const RpcRequest& request) {
   std::string last_error = "not attempted";
   for (int attempt = 1; attempt <= options_.connect_attempts; ++attempt) {
     result.attempts = attempt;
-    if (fd_ < 0 && !ConnectOnce(&last_error)) {
+    if (fd_ < 0 && !ConnectOnce(attempt, &last_error)) {
       if (attempt < options_.connect_attempts) {
         std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs(options_, attempt)));
       }

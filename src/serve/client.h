@@ -57,7 +57,8 @@ class Client {
   void Close();
 
  private:
-  bool ConnectOnce(std::string* error);
+  // One connect; `attempt` (1-based) feeds the client.connect fault roll.
+  bool ConnectOnce(int attempt, std::string* error);
   std::optional<RpcResponse> Roundtrip(const RpcRequest& request, std::string* error);
 
   ClientOptions options_;

@@ -18,6 +18,7 @@
 #include "mining/pipeline.h"
 #include "obs/journal.h"
 #include "obs/json.h"
+#include "obs/procstat.h"
 #include "obs/trace.h"
 #include "serve/uds.h"
 #include "util/cancel.h"
@@ -137,17 +138,10 @@ bool Server::Start(std::string* error) {
   SetCloseOnExec(wake_fd_[0]);
   SetCloseOnExec(wake_fd_[1]);
 
-  if (obs::Registry* metrics = options_.batch.obs.metrics; metrics != nullptr) {
-    m_requests_ = metrics->counter("serve.requests");
-    m_shed_ = metrics->counter("serve.shed");
-    m_timeouts_ = metrics->counter("serve.timeouts");
-    m_queue_depth_ = metrics->gauge("serve.queue_depth");
-  }
-
   if (options_.batch.use_cache) {
-    cache_ = std::make_unique<batch::Cache>(options_.batch.cache_dir, options_.batch.obs.metrics);
+    cache_ = std::make_unique<batch::Cache>(options_.batch.cache_dir);
   }
-  pool_ = std::make_unique<util::ThreadPool>(options_.jobs, options_.batch.obs);
+  pool_ = std::make_unique<util::ThreadPool>(options_.jobs, options_.batch.journal);
 
   if (options_.warmup) {
     // One uncached throwaway analysis pulls the spec library, regex pattern
@@ -159,9 +153,9 @@ bool Server::Start(std::string* error) {
     analyzer.AnalyzeSource("echo warmup | wc -l\n");
   }
 
-  if (options_.batch.obs.journal != nullptr) {
-    options_.batch.obs.journal->Emit(obs::EventKind::kMark, "serve.start",
-                                     static_cast<int64_t>(::getpid()));
+  if (options_.batch.journal != nullptr) {
+    options_.batch.journal->Emit(obs::EventKind::kMark, "serve.start",
+                                 static_cast<int64_t>(::getpid()));
   }
   loop_thread_ = std::thread([this] { Loop(); });
   return true;
@@ -191,6 +185,31 @@ void Server::Stop() {
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
+}
+
+obs::NamedValues Server::StatValues() const {
+  const ServerStats s = stats();
+  obs::NamedValues values = {
+      {"serve.connections", s.connections},
+      {"serve.requests", s.requests},
+      {"serve.responses", s.responses},
+      {"serve.shed", s.shed},
+      {"serve.draining", s.draining},
+      {"serve.malformed", s.malformed},
+      {"serve.timeouts", s.timeouts},
+      {"serve.io_timeouts", s.io_timeouts},
+      {"serve.idle_closed", s.idle_closed},
+      {"serve.drain_cancelled", s.drain_cancelled},
+      {"serve.worker_crashes", s.worker_crashes},
+      {"serve.queue_depth", inflight_.load(std::memory_order_acquire)},
+      {"process.rss_kb", obs::CurrentRssKb()},
+      {"process.peak_rss_kb", obs::PeakRssKb()},
+  };
+  core::AddHotpathStats(&values);
+  if (cache_ != nullptr) {
+    batch::AddCacheStats(cache_->stats(), &values);
+  }
+  return values;
 }
 
 void Server::InstallSignalDrain(Server* server) {
@@ -241,9 +260,9 @@ void Server::Loop() {
       // Unlink immediately: new clients fail fast (ENOENT beats a connect
       // that will never be accepted) and a replacement server can bind.
       ::unlink(options_.socket_path.c_str());
-      if (options_.batch.obs.journal != nullptr) {
-        options_.batch.obs.journal->Emit(obs::EventKind::kMark, "serve.drain",
-                                         inflight_.load(std::memory_order_relaxed));
+      if (options_.batch.journal != nullptr) {
+        options_.batch.journal->Emit(obs::EventKind::kMark, "serve.drain",
+                                     inflight_.load(std::memory_order_relaxed));
       }
       // Idle connections have nothing owed to them; reap them now.
       std::vector<Connection*> idle;
@@ -394,9 +413,9 @@ void Server::Loop() {
   if (pidfile_written_) {
     ::unlink(options_.pidfile.c_str());
   }
-  if (options_.batch.obs.journal != nullptr) {
-    options_.batch.obs.journal->Emit(obs::EventKind::kMark, "serve.stop",
-                                     stats().responses);
+  if (options_.batch.journal != nullptr) {
+    options_.batch.journal->Emit(obs::EventKind::kMark, "serve.stop",
+                                 stats().responses);
   }
   {
     std::lock_guard<std::mutex> lock(stopped_mu_);
@@ -465,8 +484,11 @@ void Server::AcceptNew() {
       return;  // EAGAIN, or a transient accept error; the loop re-polls.
     }
     if (util::FaultInjector::enabled()) {
-      util::FaultDecision fault =
-          util::FaultInjector::Check(util::FaultSite::kServeAccept, options_.socket_path);
+      // The accept ordinal makes each accept roll on its own: with the
+      // bare socket path, which every accept shares, a rate-gated rule
+      // would drop every connection or none.
+      util::FaultDecision fault = util::FaultInjector::Check(
+          util::FaultSite::kServeAccept, options_.socket_path + "@" + std::to_string(++accepts_));
       util::FaultInjector::ApplyDelay(fault);
       if (fault.action == util::FaultAction::kFail) {
         ::close(fd);  // Simulated dropped connection; the client retries.
@@ -542,9 +564,9 @@ void Server::ReadFrom(Connection* conn) {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.malformed;
         }
-        if (options_.batch.obs.journal != nullptr) {
-          options_.batch.obs.journal->Emit(obs::EventKind::kMark, "serve.malformed",
-                                           static_cast<int64_t>(conn->id));
+        if (options_.batch.journal != nullptr) {
+          options_.batch.journal->Emit(obs::EventKind::kMark, "serve.malformed",
+                                       static_cast<int64_t>(conn->id));
         }
         CloseConnection(conn);
         return;
@@ -604,11 +626,8 @@ void Server::HandleFrame(Connection* conn, std::string payload) {
     if (std::optional<RpcRequest> req = RpcRequest::Parse(payload)) {
       shed.id = req->id;
     }
-    if (m_shed_ != nullptr) {
-      m_shed_->Add(1);
-    }
-    if (options_.batch.obs.journal != nullptr) {
-      options_.batch.obs.journal->Emit(obs::EventKind::kMark, "serve.shed", pending);
+    if (options_.batch.journal != nullptr) {
+      options_.batch.journal->Emit(obs::EventKind::kMark, "serve.shed", pending);
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -619,13 +638,7 @@ void Server::HandleFrame(Connection* conn, std::string payload) {
   }
 
   conn->busy = true;
-  const int now_inflight = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->Set(now_inflight);
-  }
-  if (m_requests_ != nullptr) {
-    m_requests_->Add(1);
-  }
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.requests;
@@ -695,9 +708,6 @@ void Server::DispatchRequest(uint64_t conn_id, std::string payload) {
     std::lock_guard<std::mutex> lock(tokens_mu_);
     active_tokens_.erase(conn_id);
   }
-  if (timed_out && m_timeouts_ != nullptr) {
-    m_timeouts_->Add(1);
-  }
   PostCompletion({conn_id, EncodeFrame(FrameType::kResponse, response.ToJson()), timed_out});
 }
 
@@ -717,8 +727,13 @@ RpcResponse Server::Execute(const RpcRequest& request, util::CancelToken* budget
   }
   if (request.op == "stats") {
     response.status = kStatusOk;
-    obs::Registry* metrics = options_.batch.obs.metrics;
-    response.body = metrics != nullptr ? metrics->ToJson() : "{}";
+    obs::JsonWriter w;
+    w.BeginObject();
+    for (const auto& [name, value] : StatValues()) {
+      w.KV(name, value);
+    }
+    w.EndObject();
+    response.body = w.Take();
     return response;
   }
   if (request.op == "shutdown") {
@@ -737,7 +752,7 @@ RpcResponse Server::Execute(const RpcRequest& request, util::CancelToken* budget
       response.error = "mine requires a command";
       return response;
     }
-    mining::MiningOutcome outcome = mining::MineCommand(request.command, options_.batch.obs);
+    mining::MiningOutcome outcome = mining::MineCommand(request.command, options_.batch.journal);
     response.status = kStatusOk;
     obs::JsonWriter w;
     w.BeginObject();
@@ -831,10 +846,7 @@ void Server::DrainCompletions() {
     batch.swap(completions_);
   }
   for (Completion& completion : batch) {
-    const int now_inflight = inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    if (m_queue_depth_ != nullptr) {
-      m_queue_depth_->Set(now_inflight);
-    }
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     if (completion.timed_out) {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.timeouts;

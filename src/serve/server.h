@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "batch/batch.h"
-#include "obs/metrics.h"
 #include "serve/protocol.h"
 
 namespace sash::util {
@@ -137,6 +136,12 @@ class Server {
   // Snapshot of the robustness counters (thread-safe; exact after Stop).
   ServerStats stats() const;
 
+  // What the rpc `stats` op replies and `sash serve --stats` prints, by
+  // name: the ServerStats counts as "serve.*", the requests in flight as
+  // "serve.queue_depth", the shared cache's counts as "cache.*", and the
+  // process-wide "hotpath.*" and "process.*" figures.
+  obs::NamedValues StatValues() const;
+
   const ServerOptions& options() const { return options_; }
 
   // Routes SIGTERM/SIGINT to BeginDrain() on `server` via a self-pipe (the
@@ -183,6 +188,7 @@ class Server {
   int64_t drain_started_us_ = 0;
 
   uint64_t next_conn_id_ = 1;
+  uint64_t accepts_ = 0;  // accept(2) calls that returned a connection.
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
 
   std::mutex completions_mu_;
@@ -200,13 +206,6 @@ class Server {
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
-
-  // Hoisted metric handles (serve.requests / serve.shed / serve.timeouts /
-  // serve.queue_depth), null when no registry is attached.
-  obs::Counter* m_requests_ = nullptr;
-  obs::Counter* m_shed_ = nullptr;
-  obs::Counter* m_timeouts_ = nullptr;
-  obs::Gauge* m_queue_depth_ = nullptr;
 };
 
 }  // namespace sash::serve

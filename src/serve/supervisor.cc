@@ -94,7 +94,7 @@ int64_t Supervisor::SpawnChild() {
     {
       obs::Session session({.journal_out = options_.journal_path});
       ServerOptions incarnation = server_;
-      incarnation.batch.obs.journal = session.journal();
+      incarnation.batch.journal = session.journal();
       Server server(std::move(incarnation));
       std::string error;
       if (!server.Start(&error)) {

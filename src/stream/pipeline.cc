@@ -4,6 +4,14 @@
 
 namespace sash::stream {
 
+void CheckStats::Add(const CheckStats& other) {
+  pipelines_checked += other.pipelines_checked;
+  stages_typed += other.stages_typed;
+  stages_untyped += other.stages_untyped;
+  type_errors += other.type_errors;
+  dead_streams += other.dead_streams;
+}
+
 std::optional<rtypes::CommandType> PipelineChecker::TypeOfStage(
     const syntax::Command& cmd) const {
   if (cmd.kind == syntax::CommandKind::kSimple && !cmd.simple.words.empty()) {
@@ -38,9 +46,6 @@ PipelineReport PipelineChecker::Check(const syntax::Command& cmd, regex::Regex i
     std::optional<rtypes::CommandType> type = TypeOfStage(*stages[i]);
     if (!type.has_value()) {
       stage.untyped = true;
-      if (stages_untyped_ != nullptr) {
-        stages_untyped_->Add(1);
-      }
       report.untyped_stages.push_back(static_cast<int>(i));
       current = regex::Regex::AnyLine();  // The stage may emit anything.
       stream_known = false;
@@ -50,9 +55,6 @@ PipelineReport PipelineChecker::Check(const syntax::Command& cmd, regex::Regex i
       continue;
     }
     stage.type_display = type->ToString();
-    if (stages_typed_ != nullptr) {
-      stages_typed_->Add(1);
-    }
     // The stage's declared input expectation: the bound for bounded
     // polymorphic types, the fixed input language for monomorphic ones.
     if (type->polymorphic && type->bound.has_value()) {
@@ -64,9 +66,6 @@ PipelineReport PipelineChecker::Check(const syntax::Command& cmd, regex::Regex i
     rtypes::ApplyResult applied = rtypes::Apply(*type, current);
     if (!applied.ok) {
       stage.type_error = true;
-      if (type_errors_ != nullptr) {
-        type_errors_->Add(1);
-      }
       stage.error = applied.error;
       report.has_type_error = true;
       current = regex::Regex::AnyLine();  // Recover to keep checking.
@@ -84,9 +83,6 @@ PipelineReport PipelineChecker::Check(const syntax::Command& cmd, regex::Regex i
     if (applied.output_empty && !input_was_empty && stream_known &&
         type->intersect_filter.has_value()) {
       stage.killed_stream = true;
-      if (dead_streams_ != nullptr) {
-        dead_streams_->Add(1);
-      }
       if (!report.has_dead_stream) {
         report.has_dead_stream = true;
         report.dead_stage = static_cast<int>(i);
@@ -98,8 +94,9 @@ PipelineReport PipelineChecker::Check(const syntax::Command& cmd, regex::Regex i
   return report;
 }
 
-int PipelineChecker::CheckProgram(const syntax::Program& program, DiagnosticSink* sink) const {
-  int checked = 0;
+CheckStats PipelineChecker::CheckProgram(const syntax::Program& program,
+                                         DiagnosticSink* sink) const {
+  CheckStats stats;
   syntax::VisitCommands(program, /*into_substitutions=*/true, [&](const syntax::Command& cmd) {
     if (cmd.kind != syntax::CommandKind::kPipeline || cmd.pipeline.commands.size() < 2) {
       return;
@@ -107,11 +104,13 @@ int PipelineChecker::CheckProgram(const syntax::Program& program, DiagnosticSink
     if (cancel_ != nullptr && cancel_->CheckStep()) {
       return;
     }
-    ++checked;
-    if (pipelines_checked_ != nullptr) {
-      pipelines_checked_->Add(1);
-    }
+    ++stats.pipelines_checked;
     PipelineReport report = Check(cmd);
+    for (const StageReport& stage : report.stages) {
+      ++(stage.untyped ? stats.stages_untyped : stats.stages_typed);
+      stats.type_errors += stage.type_error ? 1 : 0;
+      stats.dead_streams += stage.killed_stream ? 1 : 0;
+    }
     if (report.has_dead_stream && sink != nullptr) {
       const StageReport& stage = report.stages[static_cast<size_t>(report.dead_stage)];
       Diagnostic& d = sink->Emit(
@@ -138,7 +137,7 @@ int PipelineChecker::CheckProgram(const syntax::Program& program, DiagnosticSink
       }
     }
   });
-  return checked;
+  return stats;
 }
 
 }  // namespace sash::stream

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "rtypes/types.h"
 #include "syntax/ast.h"
 #include "util/cancel.h"
@@ -42,6 +41,18 @@ struct PipelineReport {
   std::vector<int> untyped_stages;  // Candidates for runtime monitoring.
 };
 
+// Typing-rule counts of one CheckProgram walk (the analyzer keeps them in
+// its report; `--stats` prints their sum as "stream.*").
+struct CheckStats {
+  int pipelines_checked = 0;
+  int stages_typed = 0;
+  int stages_untyped = 0;
+  int type_errors = 0;
+  int dead_streams = 0;
+
+  void Add(const CheckStats& other);
+};
+
 class PipelineChecker {
  public:
   explicit PipelineChecker(rtypes::TypeLibrary lib = rtypes::TypeLibrary::Default())
@@ -51,26 +62,6 @@ class PipelineChecker {
   // built-in typing rules for that command name.
   void AddCommandType(std::string command, rtypes::CommandType type) {
     overrides_.emplace_back(std::move(command), std::move(type));
-  }
-
-  // Optional observability: typing-rule hit counts ("stream.*") land here.
-  // Handles are resolved once here, not per stage — Check runs on every
-  // pipeline of every script in a batch.
-  void set_metrics(obs::Registry* metrics) {
-    metrics_ = metrics;
-    if (metrics != nullptr) {
-      stages_typed_ = metrics->counter("stream.stages_typed");
-      stages_untyped_ = metrics->counter("stream.stages_untyped");
-      type_errors_ = metrics->counter("stream.type_errors");
-      dead_streams_ = metrics->counter("stream.dead_streams");
-      pipelines_checked_ = metrics->counter("stream.pipelines_checked");
-    } else {
-      stages_typed_ = nullptr;
-      stages_untyped_ = nullptr;
-      type_errors_ = nullptr;
-      dead_streams_ = nullptr;
-      pipelines_checked_ = nullptr;
-    }
   }
 
   // Optional cooperative cancellation: CheckProgram polls the token per
@@ -84,8 +75,9 @@ class PipelineChecker {
 
   // Walks a whole program (including command substitutions), checking every
   // multi-stage pipeline and emitting kCodeDeadStream / kCodeStreamTypeError
-  // diagnostics into `sink`. Returns the number of pipelines checked.
-  int CheckProgram(const syntax::Program& program, DiagnosticSink* sink) const;
+  // diagnostics into `sink`. Returns the pipelines checked and their stage
+  // verdicts.
+  CheckStats CheckProgram(const syntax::Program& program, DiagnosticSink* sink) const;
 
   const rtypes::TypeLibrary& library() const { return lib_; }
 
@@ -94,12 +86,6 @@ class PipelineChecker {
 
   rtypes::TypeLibrary lib_;
   std::vector<std::pair<std::string, rtypes::CommandType>> overrides_;
-  obs::Registry* metrics_ = nullptr;
-  obs::Counter* stages_typed_ = nullptr;
-  obs::Counter* stages_untyped_ = nullptr;
-  obs::Counter* type_errors_ = nullptr;
-  obs::Counter* dead_streams_ = nullptr;
-  obs::Counter* pipelines_checked_ = nullptr;
   util::CancelToken* cancel_ = nullptr;
 };
 

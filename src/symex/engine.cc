@@ -166,20 +166,17 @@ const regex::Regex& DangerLanguage() {
 // Engine facade
 // ---------------------------------------------------------------------------
 
-void EngineStats::PublishTo(obs::Registry* registry) const {
-  if (registry == nullptr) {
-    return;
-  }
-  registry->counter("symex.commands_executed")->Add(commands_executed);
-  registry->counter("symex.forks")->Add(forks);
-  registry->counter("symex.states_merged")->Add(states_merged);
-  registry->counter("symex.states_dropped")->Add(states_dropped);
-  registry->counter("symex.final_states")->Add(final_states);
-  registry->counter("symex.fs_ops")->Add(fs_ops);
-  registry->gauge("symex.states_peak")->Max(states_peak);
-  registry->counter("symex.digest_collisions")->Add(digest_collisions);
-  registry->counter("symex.depth_cap_hits")->Add(depth_cap_hits);
-  registry->counter("symex.cancelled")->Add(cancelled);
+void EngineStats::Add(const EngineStats& other) {
+  commands_executed += other.commands_executed;
+  forks += other.forks;
+  states_peak = std::max(states_peak, other.states_peak);
+  states_merged += other.states_merged;
+  states_dropped += other.states_dropped;
+  depth_cap_hits += other.depth_cap_hits;
+  cancelled += other.cancelled;
+  final_states += other.final_states;
+  fs_ops += other.fs_ops;
+  digest_collisions += other.digest_collisions;
 }
 
 Engine::Engine(EngineOptions options, DiagnosticSink* sink)

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "regex/regex.h"
 #include "specs/library.h"
 #include "symex/state.h"
@@ -106,10 +105,9 @@ struct EngineStats {
   // counted under paranoid merging (such pairs are kept separate, not merged).
   int digest_collisions = 0;
 
-  // Mirrors every field into the registry under "symex.*" (counters, except
-  // the peak which is a high-watermark gauge). The registry is the
-  // cross-subsystem view; EngineStats stays the cheap per-run struct.
-  void PublishTo(obs::Registry* registry) const;
+  // Folds another run's stats in: every field sums, except the peak, which
+  // is the larger of the two.
+  void Add(const EngineStats& other);
 };
 
 class Engine {

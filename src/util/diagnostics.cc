@@ -41,9 +41,6 @@ Diagnostic& DiagnosticSink::Emit(Severity severity, std::string code, SourceRang
   d.code = std::move(code);
   d.range = range;
   d.message = std::move(message);
-  if (counter_ != nullptr && severity >= counter_threshold_) {
-    counter_->Add(1);
-  }
   diagnostics_.push_back(std::move(d));
   return diagnostics_.back();
 }

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/source_location.h"
 
 namespace sash {
@@ -56,19 +55,10 @@ class DiagnosticSink {
   // Count of diagnostics at a given severity or above.
   size_t CountAtLeast(Severity severity) const;
 
-  // Optional metrics hook: every Emit at `threshold` or above also bumps
-  // `counter`. Pass nullptr to detach.
-  void CountInto(obs::Counter* counter, Severity threshold) {
-    counter_ = counter;
-    counter_threshold_ = threshold;
-  }
-
   void Clear() { diagnostics_.clear(); }
 
  private:
   std::vector<Diagnostic> diagnostics_;
-  obs::Counter* counter_ = nullptr;
-  Severity counter_threshold_ = Severity::kWarning;
 };
 
 }  // namespace sash

@@ -11,8 +11,8 @@
 // Properties:
 //   - Symbols are never freed; the table only grows. Scripts are finite and
 //     names are drawn from script text, so the population is bounded by the
-//     input. `Interner::size()` is exported as the `hotpath.intern.size`
-//     gauge so growth is observable.
+//     input. `Interner::size()` is printed as `hotpath.intern.size` by
+//     `--stats` so growth is observable.
 //   - The table is sharded into lock-striped segments selected by content
 //     hash. Each segment publishes an open-addressed id index via release
 //     stores, so `Intern` of an already-seen string and all of `Find` /

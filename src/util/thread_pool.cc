@@ -11,15 +11,12 @@ thread_local ThreadPool* tls_pool = nullptr;
 thread_local int tls_index = -1;
 }  // namespace
 
-ThreadPool::ThreadPool(int threads, obs::Hooks hooks) : hooks_(hooks) {
+ThreadPool::ThreadPool(int threads, obs::EventJournal* journal) : journal_(journal) {
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) {
       threads = 1;
     }
-  }
-  if (hooks_.metrics != nullptr) {
-    queue_gauge_ = hooks_.metrics->gauge("pool.queue_depth");
   }
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -61,11 +58,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     ++pending_;
     depth = ++queued_;
   }
-  if (queue_gauge_ != nullptr) {
-    queue_gauge_->Set(depth);
-  }
-  if (hooks_.journal != nullptr) {
-    hooks_.journal->Emit(obs::EventKind::kQueueDepth, "pool.queue", depth);
+  if (journal_ != nullptr) {
+    journal_->Emit(obs::EventKind::kQueueDepth, "pool.queue", depth);
   }
   work_cv_.notify_one();
 }
@@ -97,8 +91,8 @@ bool ThreadPool::TrySteal(int thief, std::function<void()>* task) {
     }
     if (stolen) {
       workers_[static_cast<size_t>(thief)]->steals.fetch_add(1, std::memory_order_relaxed);
-      if (hooks_.journal != nullptr) {
-        hooks_.journal->Emit(obs::EventKind::kSteal, "pool.steal", thief,
+      if (journal_ != nullptr) {
+        journal_->Emit(obs::EventKind::kSteal, "pool.steal", thief,
                              static_cast<int64_t>(victim));
       }
       return true;
@@ -113,7 +107,7 @@ void ThreadPool::RunTask(int index, std::function<void()>* task) {
     // the task, simulating a slow/starved core. Results must not change.
     FaultInjector::ApplyDelay(FaultInjector::Check(FaultSite::kPoolTask, "worker"));
   }
-  obs::EventJournal* journal = hooks_.journal;
+  obs::EventJournal* journal = journal_;
   if (journal == nullptr) {
     (*task)();
     return;
@@ -133,13 +127,9 @@ void ThreadPool::WorkerLoop(int index) {
   for (;;) {
     std::function<void()> task;
     if (TryPopOwn(index, &task) || TrySteal(index, &task)) {
-      int64_t depth;
       {
         std::lock_guard<std::mutex> lock(idle_mu_);
-        depth = --queued_;
-      }
-      if (queue_gauge_ != nullptr) {
-        queue_gauge_->Set(depth);
+        --queued_;
       }
       RunTask(index, &task);
       std::lock_guard<std::mutex> lock(idle_mu_);

@@ -12,11 +12,10 @@
 // lands on that worker's own deque). Wait only returns when every task —
 // including tasks submitted by tasks — has finished.
 //
-// With observability hooks attached the pool reports its own scheduling:
-// each task start/stop, steal, and queue-depth change lands in the event
-// journal (the start/stop pair is the task's span in the trace, on a lane
-// named after its worker), and the "pool.queue_depth" gauge tracks backlog.
-// With default hooks a task runs with no allocation and no clock read.
+// With a journal attached the pool reports its own scheduling: each task
+// start/stop, steal, and queue-depth change lands in the event journal (the
+// start/stop pair is the task's span in the trace, on a lane named after its
+// worker). Without one a task runs with no allocation and no clock read.
 #ifndef SASH_UTIL_THREAD_POOL_H_
 #define SASH_UTIL_THREAD_POOL_H_
 
@@ -30,15 +29,15 @@
 #include <thread>
 #include <vector>
 
-#include "obs/obs.h"
+#include "obs/journal.h"
 
 namespace sash::util {
 
 class ThreadPool {
  public:
-  // `threads` <= 0 selects the hardware concurrency (at least 1). `hooks`
-  // members may each be null; a default Hooks disables all telemetry.
-  explicit ThreadPool(int threads, obs::Hooks hooks = {});
+  // `threads` <= 0 selects the hardware concurrency (at least 1). A null
+  // `journal` disables all telemetry.
+  explicit ThreadPool(int threads, obs::EventJournal* journal = nullptr);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -83,8 +82,7 @@ class ThreadPool {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  obs::Hooks hooks_;
-  obs::Gauge* queue_gauge_ = nullptr;  // Hoisted "pool.queue_depth" handle.
+  obs::EventJournal* journal_;
 
   std::mutex idle_mu_;
   std::condition_variable work_cv_;   // Signaled on submit and shutdown.

@@ -127,18 +127,16 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
     files.push_back(WriteScript(name + ".sh", content).string());
   }
 
-  obs::Registry metrics;
-  BatchOptions cold_opt = Options(4);
-  cold_opt.obs.metrics = &metrics;
-  BatchDriver cold_driver(cold_opt);
+  BatchDriver cold_driver(Options(4));
   BatchResult cold = cold_driver.Run(files);
   EXPECT_EQ(cold.cache_misses, static_cast<int64_t>(corpus.size()));
 
   // Every miss went through the queue, and every enqueue was committed by
   // the time Run returned.
-  obs::MetricsSnapshot snap = metrics.Snapshot();
-  EXPECT_EQ(snap.counters["cache.commit.enqueued"], static_cast<int64_t>(corpus.size()));
-  EXPECT_EQ(snap.counters["cache.commit.committed"], static_cast<int64_t>(corpus.size()));
+  EXPECT_EQ(cold.commit.enqueued, static_cast<int64_t>(corpus.size()));
+  EXPECT_EQ(cold.commit.committed, static_cast<int64_t>(corpus.size()));
+  EXPECT_EQ(cold.cache.misses, static_cast<int64_t>(corpus.size()));
+  EXPECT_EQ(cold.analysis.runs, static_cast<int>(corpus.size()));
 
   BatchDriver warm_driver(Options(4));  // Fresh driver: only the disk speaks.
   BatchResult warm = warm_driver.Run(files);
@@ -157,9 +155,7 @@ TEST_F(BatchCacheTest, ParallelColdRunCommitsEverythingBeforeReturning) {
 // RunSources returns, and the run must still be accounted like a batch.
 TEST_F(BatchCacheTest, SingleFileRunsInlineAndCommitsBeforeReturning) {
   const std::string source = "rm -rf \"$UNSET_DIR/\"*\n";
-  obs::Registry metrics;
   BatchOptions options = Options(/*jobs=*/0);
-  options.obs.metrics = &metrics;
   BatchResult cold = BatchDriver(options).RunSources({{"solo.sh", source}});
   ASSERT_EQ(cold.files.size(), 1u);
   ASSERT_TRUE(cold.files[0].ok);
@@ -169,16 +165,13 @@ TEST_F(BatchCacheTest, SingleFileRunsInlineAndCommitsBeforeReturning) {
   // Durable on return, without a committer in between.
   Cache cache(CacheDir());
   EXPECT_TRUE(cache.Get("analysis", AnalysisKey(source, options.analyzer)).has_value());
-  obs::MetricsSnapshot snap = metrics.Snapshot();
-  EXPECT_EQ(snap.counters["cache.commit.enqueued"], 0);
-  EXPECT_EQ(snap.counters["batch.files"], 1);
-  EXPECT_EQ(snap.gauges["batch.jobs"], 1);
-  EXPECT_EQ(snap.counters["batch.steals"], 0);
-  for (const char* name : {"resilience.timeouts", "resilience.degraded", "resilience.failed",
-                           "resilience.crashed"}) {
-    EXPECT_EQ(snap.counters.count(name), 1u) << name;
-  }
-  EXPECT_EQ(snap.histograms["batch.file_micros"].count, 1);
+  EXPECT_EQ(cold.commit.enqueued, 0);  // No queue: the Put ran inline.
+  EXPECT_EQ(cold.jobs, 1);
+  EXPECT_EQ(cold.steals, 0);
+  EXPECT_EQ(cold.cache.misses, 1);
+  EXPECT_EQ(cold.analysis.runs, 1);
+  EXPECT_EQ(cold.analysis.engine.commands_executed,
+            cold.files[0].stats.engine.commands_executed);
 
   // A fresh driver replays the file from disk, byte for byte.
   BatchResult warm = BatchDriver(Options(0)).RunSources({{"solo.sh", source}});
@@ -205,19 +198,47 @@ TEST_F(BatchCacheTest, SingleIsolatedFileStillForksAWorker) {
   EXPECT_EQ(r.files[0].status, FileStatus::kCrashed);
   EXPECT_EQ(r.files[0].degraded_reason, "crashed:SIGSEGV");
   EXPECT_EQ(r.ExitCode(), 2);
+  EXPECT_EQ(r.crash.workers, 1);
 }
 
 TEST_F(BatchCacheTest, SingleUnreadableFileStillReportsFailed) {
-  obs::Registry metrics;
-  BatchOptions options = Options(0);
-  options.obs.metrics = &metrics;
-  BatchResult r = BatchDriver(options).Run({(dir_ / "missing.sh").string()});
+  BatchResult r = BatchDriver(Options(0)).Run({(dir_ / "missing.sh").string()});
   ASSERT_EQ(r.files.size(), 1u);
   EXPECT_FALSE(r.files[0].ok);
   EXPECT_EQ(r.files[0].status, FileStatus::kFailed);
   EXPECT_FALSE(r.files[0].error.empty());
   EXPECT_EQ(r.ExitCode(), 2);
-  EXPECT_EQ(metrics.counter("resilience.failed")->value(), 1);
+  EXPECT_EQ(r.CountStatus(FileStatus::kFailed), 1u);
+  EXPECT_EQ(r.analysis.runs, 0);
+}
+
+// The cache counts with relaxed atomics, and each hit also lands on the
+// global journal as a "cache.hits" counter sample (the trace's track).
+TEST_F(BatchCacheTest, CacheCountsAndJournalsHits) {
+  obs::EventJournal journal(1024);
+  obs::EventJournal::SetGlobal(&journal);
+  Cache cache(CacheDir());
+  const std::string key(64, 'a');
+  EXPECT_FALSE(cache.Get("analysis", key).has_value());
+  ASSERT_TRUE(cache.Put("analysis", key, "payload"));
+  EXPECT_TRUE(cache.Get("analysis", key).has_value());
+  EXPECT_TRUE(cache.Get("analysis", key).has_value());
+  cache.CountCorrupt();
+  obs::EventJournal::SetGlobal(nullptr);
+
+  const Cache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.corrupt_entries, 1);
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_FALSE(stats.read_only);
+  std::vector<int64_t> samples;
+  for (const obs::Event& e : journal.Drain()) {
+    if (e.kind == obs::EventKind::kCounter && std::string(e.name) == "cache.hits") {
+      samples.push_back(e.a);
+    }
+  }
+  EXPECT_EQ(samples, (std::vector<int64_t>{1, 2}));
 }
 
 // The queue's own contract, exercised directly: concurrent producers on

@@ -11,6 +11,7 @@
 // Regenerate goldens with SASH_UPDATE_GOLDENS=1 ctest -R cli_golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,7 +25,6 @@
 
 #include "json_normalize.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 
 namespace {
@@ -58,6 +58,20 @@ RunResult RunCli(const std::string& cmd) {
   int status = ::pclose(p);
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return r;
+}
+
+// The value of one `--stats` line ("  name   value"); -1 when absent.
+int64_t StatValue(const std::string& stats, const std::string& name) {
+  std::istringstream lines(stats);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string key;
+    std::string value;
+    if (fields >> key >> value && key == name) {
+      return std::stoll(value);
+    }
+  }
+  return -1;
 }
 
 std::string ReadFile(const fs::path& path) {
@@ -252,13 +266,11 @@ TEST_F(CliGoldenTest, ExitCodes) {
 }
 
 TEST_F(CliGoldenTest, ReportSummarizesBenchDocuments) {
-  sash::obs::Registry registry;
-  registry.counter("serve.requests")->Add(17);
-  registry.gauge("serve.warm_p50_us")->Set(120);
+  const sash::obs::NamedValues metrics = {{"serve.requests", 17}, {"serve.warm_p50_us", 120}};
   std::vector<sash::obs::BenchRun> runs = {{"BM_Thing", 10, 5.0, 4.0}};
   fs::create_directories(cache_);
   fs::path doc = cache_ / "BENCH_serve.json";
-  std::ofstream(doc) << sash::obs::BenchReportJson("serve", runs, &registry);
+  std::ofstream(doc) << sash::obs::BenchReportJson("serve", runs, metrics);
 
   RunResult r = RunCli(Sash("report '" + doc.string() + "'"));
   EXPECT_EQ(r.exit_code, 0);
@@ -360,6 +372,39 @@ TEST_F(CliGoldenTest, SingleFileArtifactsAndWarmStats) {
   EXPECT_EQ(warm.exit_code, cold.exit_code);
   EXPECT_NE(warm.output.find("cache.hits"), std::string::npos) << warm.output;
   EXPECT_NE(warm.output.find("process.peak_rss_kb"), std::string::npos) << warm.output;
+
+  // A batch's --stats sums the per-file structs after the pool drains. Cold:
+  // every file was analyzed here, and the symex totals are the sums (the
+  // peak: the maximum) of the reports' own engine stats.
+  const std::string stats_path = (dir / "stats.txt").string();
+  RunResult batch =
+      RunCli(Sash("analyze -j2 --no-cache --stats --format=json . 2>'" + stats_path + "'"));
+  EXPECT_EQ(batch.exit_code, 1);
+  const std::string stats = ReadFile(stats_path);
+  std::optional<sash::obs::JsonValue> batch_doc = sash::obs::JsonValue::Parse(batch.output);
+  ASSERT_TRUE(batch_doc.has_value()) << batch.output;
+  const std::vector<sash::obs::JsonValue>& results = batch_doc->Find("results")->array;
+  ASSERT_EQ(results.size(), 8u);
+  int64_t commands = 0;
+  int64_t peak = 0;
+  for (const sash::obs::JsonValue& r : results) {
+    const sash::obs::JsonValue* engine = r.Find("report")->Find("stats")->Find("engine");
+    commands += static_cast<int64_t>(engine->Find("commands_executed")->number);
+    peak = std::max(peak, static_cast<int64_t>(engine->Find("states_peak")->number));
+  }
+  EXPECT_EQ(StatValue(stats, "analyzer.runs"), 8) << stats;
+  EXPECT_EQ(StatValue(stats, "batch.files"), 8) << stats;
+  EXPECT_EQ(StatValue(stats, "symex.commands_executed"), commands) << stats;
+  EXPECT_EQ(StatValue(stats, "symex.states_peak"), peak) << stats;
+  EXPECT_EQ(StatValue(stats, "cache.misses"), 0) << stats;  // --no-cache: no cache reads.
+
+  // Warm: every file is a cache hit and nothing is analyzed.
+  const std::string batch_warm = Sash("analyze -j2 --stats " + CacheFlag() + " . 2>&1 >/dev/null");
+  RunCli(batch_warm);
+  RunResult warm_batch = RunCli(batch_warm);
+  EXPECT_EQ(StatValue(warm_batch.output, "cache.hits"), 8) << warm_batch.output;
+  EXPECT_EQ(StatValue(warm_batch.output, "cache.misses"), 0) << warm_batch.output;
+  EXPECT_EQ(StatValue(warm_batch.output, "analyzer.runs"), -1) << warm_batch.output;
   fs::remove_all(dir);
 }
 

@@ -6,7 +6,6 @@
 
 #include "core/analyzer.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/report.h"
@@ -49,77 +48,6 @@ TEST(Json, ParserDecodesEscapes) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->array[0].string, "A\t\\\"");
   EXPECT_EQ(doc->array[1].string, "\xc3\xa9");
-}
-
-// --- metrics --------------------------------------------------------------
-
-TEST(Metrics, ConcurrentCountersAreExact) {
-  Registry registry;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      // Mixed same-instrument and per-lookup use: lookups must return the
-      // same stable pointer every time.
-      Counter* fast = registry.counter("obs.shared");
-      for (int i = 0; i < kPerThread; ++i) {
-        fast->Add(1);
-        registry.counter("obs.shared")->Add(1);
-        registry.histogram("obs.lat")->Observe(i);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(registry.counter("obs.shared")->value(), int64_t{2} * kThreads * kPerThread);
-  EXPECT_EQ(registry.histogram("obs.lat")->count(), int64_t{kThreads} * kPerThread);
-}
-
-TEST(Metrics, HistogramBucketing) {
-  EXPECT_EQ(Histogram::BucketIndex(-5), 0);
-  EXPECT_EQ(Histogram::BucketIndex(0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(1), 1);   // [1,2)
-  EXPECT_EQ(Histogram::BucketIndex(2), 2);   // [2,4)
-  EXPECT_EQ(Histogram::BucketIndex(3), 2);
-  EXPECT_EQ(Histogram::BucketIndex(4), 3);   // [4,8)
-  EXPECT_EQ(Histogram::BucketIndex(1023), 10);
-  EXPECT_EQ(Histogram::BucketIndex(1024), 11);
-
-  Histogram h;
-  h.Observe(0);
-  h.Observe(3);
-  h.Observe(3);
-  h.Observe(1000);
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), 1006);
-  EXPECT_EQ(h.min(), 0);
-  EXPECT_EQ(h.max(), 1000);
-  EXPECT_EQ(h.bucket(0), 1);
-  EXPECT_EQ(h.bucket(2), 2);
-  EXPECT_EQ(h.bucket(10), 1);
-  // p50 falls in bucket [2,4): upper bound 4. p99 in [512,1024): bound 1024.
-  EXPECT_EQ(h.PercentileUpperBound(50), 4);
-  EXPECT_EQ(h.PercentileUpperBound(99), 1024);
-}
-
-TEST(Metrics, RegistryJsonRoundTrip) {
-  Registry registry;
-  registry.counter("a.count")->Add(7);
-  registry.gauge("b.peak")->Max(12);
-  registry.gauge("b.peak")->Max(9);  // Lower: must not shrink the peak.
-  registry.histogram("c.ns")->Observe(100);
-  std::optional<JsonValue> doc = JsonValue::Parse(registry.ToJson());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->Find("counters")->Find("a.count")->number, 7);
-  EXPECT_EQ(doc->Find("gauges")->Find("b.peak")->number, 12);
-  const JsonValue* h = doc->Find("histograms")->Find("c.ns");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->Find("count")->number, 1);
-  EXPECT_EQ(h->Find("sum")->number, 100);
-  EXPECT_NE(h->Find("p50"), nullptr);
-  EXPECT_NE(h->Find("p99"), nullptr);
 }
 
 // --- tracing --------------------------------------------------------------
@@ -219,18 +147,19 @@ TEST(Trace, ChromeJsonIsWellFormed) {
 // --- bench report ---------------------------------------------------------
 
 TEST(BenchReport, EmitterOutputValidates) {
-  Registry registry;
-  registry.counter("x.ops")->Add(3);
-  registry.histogram("x.ns")->Observe(10);
+  const NamedValues metrics = {{"x.ops", 3}, {"cache.hits", 5}};
   std::vector<BenchRun> runs;
   runs.push_back({"BM_Thing/64", 1000, 2500.0, 2400.0});
-  std::string json = BenchReportJson("thing", runs, &registry);
+  std::string json = BenchReportJson("thing", runs, metrics);
   std::optional<JsonValue> doc = JsonValue::Parse(json);
   ASSERT_TRUE(doc.has_value());
   EXPECT_TRUE(ValidateBenchReport(*doc).empty());
   EXPECT_EQ(doc->Find("schema")->string, kBenchSchema);
   EXPECT_EQ(doc->Find("bench")->string, "thing");
   EXPECT_EQ(doc->Find("runs")->array.size(), 1u);
+  EXPECT_EQ(doc->Find("metrics")->Find("gauges")->Find("x.ops")->number, 3);
+  EXPECT_EQ(doc->Find("cache")->Find("hits")->number, 5);
+  EXPECT_EQ(doc->Find("cache")->Find("misses")->number, 0);
 }
 
 TEST(BenchReport, ValidatorRejectsCorruptedDocuments) {
@@ -254,14 +183,12 @@ constexpr char kSteamish[] =
 
 TEST(AnalyzerIntegration, JsonReportCarriesPhasesAndFindings) {
   EventJournal journal(1024);
-  Registry registry;
   core::AnalyzerOptions options;
-  options.obs.journal = &journal;
-  options.obs.metrics = &registry;
+  options.journal = &journal;
   core::Analyzer analyzer(std::move(options));
   core::AnalysisReport report = analyzer.AnalyzeSource(kSteamish);
 
-  std::optional<JsonValue> doc = JsonValue::Parse(report.ToJson(&registry));
+  std::optional<JsonValue> doc = JsonValue::Parse(report.ToJson());
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->Find("schema")->string, core::kAnalysisSchema);
   EXPECT_EQ(doc->Find("parse_ok")->boolean, true);
@@ -292,12 +219,15 @@ TEST(AnalyzerIntegration, JsonReportCarriesPhasesAndFindings) {
   }
   EXPECT_TRUE(saw_del_root);
 
-  // Engine stats made it both into "stats" and the registry.
-  EXPECT_GT(doc->Find("stats")->Find("engine")->Find("commands_executed")->number, 0);
-  const JsonValue* metrics = doc->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_GT(metrics->Find("counters")->Find("symex.commands_executed")->number, 0);
-  EXPECT_GT(metrics->Find("counters")->Find("diagnostics.warnings_or_worse")->number, 0);
+  // Engine stats made it into the JSON "stats"; the report keeps the rest
+  // of the run's counts, which the JSON leaves out.
+  EXPECT_EQ(doc->Find("stats")->Find("engine")->Find("commands_executed")->number,
+            report.stats().engine.commands_executed);
+  EXPECT_GT(report.stats().engine.commands_executed, 0);
+  EXPECT_EQ(report.stats().runs, 1);
+  EXPECT_GT(report.stats().warnings_or_worse, 0);
+  EXPECT_GE(report.stats().findings, static_cast<int>(report.findings().size()));
+  EXPECT_EQ(doc->Find("metrics"), nullptr);
 
   // The journal saw the same phases with the report's own timings, and the
   // trace rendered from it is Chrome-loadable JSON.
@@ -315,12 +245,11 @@ TEST(AnalyzerIntegration, JsonReportCarriesPhasesAndFindings) {
 }
 
 TEST(AnalyzerIntegration, PhaseTimingsAlwaysPopulated) {
-  core::Analyzer analyzer;  // No hooks attached.
+  core::Analyzer analyzer;  // No journal attached.
   core::AnalysisReport report = analyzer.AnalyzeSource("echo hi\n");
   ASSERT_FALSE(report.phase_timings().empty());
   EXPECT_EQ(report.phase_timings()[0].name, "parse");
   EXPECT_GE(report.total_micros(), 0);
-  // ToJson works without a registry, too.
   EXPECT_TRUE(JsonValue::Parse(report.ToJson()).has_value());
 }
 

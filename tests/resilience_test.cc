@@ -22,7 +22,6 @@
 #include "core/analyzer.h"
 #include "json_normalize.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "script_generator.h"
 #include "util/cancel.h"
 #include "util/faultinject.h"
@@ -96,14 +95,13 @@ TEST_F(ResilienceTest, SingleFaultedFileIsQuarantinedNeighborsUnaffected) {
     EXPECT_TRUE(f.ok) << f.path;
   }
 
-  obs::Registry registry;
-  BatchOptions chaos_options = options;
-  chaos_options.obs.metrics = &registry;
   BatchResult faulted;
+  int64_t injected = 0;
   {
     ScopedFaults faults(MustParse("analyze.file~s07.sh=fail"));
-    BatchDriver driver(chaos_options);
+    BatchDriver driver(options);
     faulted = driver.RunSources(sources);
+    injected = util::FaultInjector::fires();
   }
 
   ASSERT_EQ(faulted.files.size(), 20u);
@@ -126,8 +124,7 @@ TEST_F(ResilienceTest, SingleFaultedFileIsQuarantinedNeighborsUnaffected) {
   EXPECT_EQ(faulted.CountStatus(FileStatus::kFailed), 1u);
   EXPECT_EQ(faulted.Quarantined(), std::vector<std::string>{"s07.sh"});
   EXPECT_EQ(faulted.ExitCode(), 2);  // Documented partial-batch code.
-  EXPECT_EQ(registry.counter("resilience.failed")->value(), 1);
-  EXPECT_EQ(registry.gauge("faults.injected")->value(), 1);
+  EXPECT_EQ(injected, 1);
 }
 
 // A pre-expired token degrades the analysis instead of producing garbage:
@@ -176,12 +173,10 @@ TEST_F(ResilienceTest, DeadlineTimesOutPathologicalFileAndIsNeverCached) {
   }
   Sources sources = {{"huge.sh", huge}};
 
-  obs::Registry registry;
   BatchOptions options;
   options.jobs = 1;
   options.cache_dir = dir_ / "cache";
   options.deadline_ms = 1;
-  options.obs.metrics = &registry;
   BatchDriver driver(options);
   BatchResult result = driver.RunSources(sources);
 
@@ -194,14 +189,13 @@ TEST_F(ResilienceTest, DeadlineTimesOutPathologicalFileAndIsNeverCached) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(result.ExitCode(), 2);
   EXPECT_EQ(result.Quarantined(), std::vector<std::string>{"huge.sh"});
-  EXPECT_EQ(registry.counter("resilience.timeouts")->value(), 1);
+  EXPECT_EQ(result.CountStatus(FileStatus::kTimedOut), 1u);
 
   // Wall-clock degradation is a property of this run, not of the input: the
   // rerun without a deadline must start from a miss (the timed-out report
   // was never cached), complete cleanly, and only then populate the cache.
   BatchOptions retry_options = options;
   retry_options.deadline_ms = 0;
-  retry_options.obs = {};
   BatchDriver retry(retry_options);
   BatchResult recovered = retry.RunSources(sources);
   EXPECT_EQ(recovered.files[0].status, FileStatus::kOk);
@@ -285,17 +279,14 @@ TEST_F(ResilienceTest, ByteFlippedCacheEntryDemotesToMissAndRecomputes) {
     out << payload;
   }
 
-  obs::Registry registry;
-  BatchOptions warm_options = options;
-  warm_options.obs.metrics = &registry;
-  BatchDriver warm_driver(warm_options);
+  BatchDriver warm_driver(options);
   BatchResult warm = warm_driver.RunSources(sources);
   EXPECT_FALSE(warm.files[0].cached);
   EXPECT_EQ(warm.files[0].status, FileStatus::kOk);
   EXPECT_EQ(sash::testing::NormalizeJson(warm.files[0].report_json),
             sash::testing::NormalizeJson(cold.files[0].report_json));
   EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
-  EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+  EXPECT_EQ(warm.cache.corrupt_entries, 1);
 
   // The recompute overwrote the rotten entry: the next pass is a clean hit.
   BatchResult healed = warm_driver.RunSources(sources);
@@ -320,14 +311,11 @@ TEST_F(ResilienceTest, TruncatedCacheEntryDemotesToMiss) {
     fs::resize_file(e.path(), fs::file_size(e.path()) / 2);
   }
 
-  obs::Registry registry;
-  BatchOptions warm_options = options;
-  warm_options.obs.metrics = &registry;
-  BatchDriver warm_driver(warm_options);
+  BatchDriver warm_driver(options);
   BatchResult warm = warm_driver.RunSources(sources);
   EXPECT_FALSE(warm.files[0].cached);
   EXPECT_EQ(warm.files[0].report_text, cold.files[0].report_text);
-  EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+  EXPECT_EQ(warm.cache.corrupt_entries, 1);
 }
 
 // An entry left by an older sash in the v1 JSON envelope, at the path a v2
@@ -355,14 +343,12 @@ TEST_F(ResilienceTest, V1EntryIsAMissThenOverwrittenByV2) {
   Cache cache(cache_dir);
   ASSERT_TRUE(cache.Put("analysis", key, v1.Take()));
 
-  obs::Registry registry;
-  options.obs.metrics = &registry;
   BatchDriver driver(options);
   BatchResult recomputed = driver.RunSources(sources);
   ASSERT_TRUE(recomputed.files[0].ok);
   EXPECT_FALSE(recomputed.files[0].cached);
   EXPECT_NE(recomputed.files[0].report_text, "stale\n");
-  EXPECT_EQ(registry.counter("cache.corrupt_entries")->value(), 1);
+  EXPECT_EQ(recomputed.cache.corrupt_entries, 1);
 
   std::optional<std::string> entry = cache.Get("analysis", key);
   ASSERT_TRUE(entry.has_value());
@@ -376,10 +362,9 @@ TEST_F(ResilienceTest, V1EntryIsAMissThenOverwrittenByV2) {
 }
 
 // An injected first-attempt write failure is absorbed by the retry loop: the
-// entry still lands, and the retry is visible in the metrics.
+// entry still lands, and the retry is visible in the cache's counts.
 TEST_F(ResilienceTest, CacheWriteRetryAbsorbsTransientFailure) {
-  obs::Registry registry;
-  Cache cache(dir_ / "cache", &registry);
+  Cache cache(dir_ / "cache");
   const std::string key(64, 'b');
   const std::string payload = "{\"schema\":\"sash-cache-v1\",\"x\":1}";
   {
@@ -388,8 +373,8 @@ TEST_F(ResilienceTest, CacheWriteRetryAbsorbsTransientFailure) {
     ScopedFaults faults(MustParse("cache.write#1=fail"));
     EXPECT_TRUE(cache.Put("analysis", key, payload));
   }
-  EXPECT_EQ(registry.counter("cache.retries")->value(), 1);
-  EXPECT_EQ(registry.counter("cache.write_failures")->value(), 1);
+  EXPECT_EQ(cache.stats().retries, 1);
+  EXPECT_EQ(cache.stats().write_failures, 1);
   std::optional<std::string> got = cache.Get("analysis", key);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, payload);
@@ -398,13 +383,12 @@ TEST_F(ResilienceTest, CacheWriteRetryAbsorbsTransientFailure) {
 // A permanent rename failure exhausts the retries, reports false, and leaves
 // neither a destination entry nor temp debris behind.
 TEST_F(ResilienceTest, PermanentRenameFailureLeavesNoDebris) {
-  obs::Registry registry;
-  Cache cache(dir_ / "cache", &registry);
+  Cache cache(dir_ / "cache");
   {
     ScopedFaults faults(MustParse("cache.rename=fail"));
     EXPECT_FALSE(cache.Put("analysis", std::string(64, 'c'), "{}"));
   }
-  EXPECT_EQ(registry.counter("cache.retries")->value(), Cache::kPutAttempts - 1);
+  EXPECT_EQ(cache.stats().retries, Cache::kPutAttempts - 1);
   int files = 0;
   for (const auto& e : fs::recursive_directory_iterator(dir_ / "cache")) {
     files += e.is_regular_file();
@@ -510,11 +494,9 @@ TEST_F(ResilienceTest, ChaosSoakKeepsResultsByteIdentical) {
       "pool.task%200@1=delay";
   for (uint64_t seed : {1u, 2u, 3u}) {
     ScopedFaults faults(MustParse(plan, seed));
-    obs::Registry registry;
     BatchOptions options;
     options.jobs = 4;
     options.cache_dir = dir_ / ("cache_" + std::to_string(seed));
-    options.obs.metrics = &registry;
     BatchDriver driver(options);
     for (int pass = 0; pass < 2; ++pass) {  // Cold, then (partially) warm.
       BatchResult chaotic = driver.RunSources(sources);
@@ -530,7 +512,6 @@ TEST_F(ResilienceTest, ChaosSoakKeepsResultsByteIdentical) {
     }
     // The rates guarantee the plan actually engaged.
     EXPECT_GT(util::FaultInjector::fires(), 0) << "seed=" << seed;
-    EXPECT_GT(registry.gauge("faults.injected")->value(), 0);
   }
 
   // And the built-in plan the CI chaos job uses (SASH_FAULT_SEED): lower
@@ -567,13 +548,11 @@ TEST_F(ResilienceTest, IsolatedWorkerCrashIsQuarantinedNeighborsByteIdentical) {
   BatchResult clean = clean_driver.RunSources(sources);
   ASSERT_EQ(clean.files.size(), sources.size());
 
-  obs::Registry registry;
   BatchOptions options;
   options.jobs = 2;
   options.use_cache = true;
   options.cache_dir = dir_ / "cache";
   options.isolate = true;
-  options.obs.metrics = &registry;
   BatchResult crashed;
   {
     ScopedFaults faults(MustParse("analyze.file~s03.sh=crash"));
@@ -607,9 +586,9 @@ TEST_F(ResilienceTest, IsolatedWorkerCrashIsQuarantinedNeighborsByteIdentical) {
   EXPECT_EQ(crashed.CountStatus(FileStatus::kCrashed), 1u);
   EXPECT_EQ(crashed.Quarantined(), std::vector<std::string>{"s03.sh"});
   EXPECT_EQ(crashed.ExitCode(), 2);
-  EXPECT_EQ(registry.counter("crash.workers")->value(), 1);
-  EXPECT_EQ(registry.counter("crash.quarantined")->value(), 1);
-  EXPECT_EQ(registry.counter("resilience.crashed")->value(), 1);
+  EXPECT_EQ(crashed.crash.workers, 1);
+  EXPECT_EQ(crashed.crash.quarantined, 1);
+  EXPECT_EQ(crashed.crash.oom, 0);
 
   // The banked repro: script bytes verbatim, with a post-mortem sidecar.
   fs::path quarantine = dir_ / "cache" / "quarantine";
@@ -665,12 +644,10 @@ TEST_F(ResilienceTest, CrashFaultOutsideAWorkerDegradesToFailure) {
 // backoff is paid once — not once per file.
 TEST_F(ResilienceTest, EnospcFlipsCacheReadOnlyAndStopsPayingRetries) {
   Sources sources = GeneratedCorpus(20, /*seed_base=*/43000);
-  obs::Registry registry;
   BatchOptions options;
   options.jobs = 2;
   options.use_cache = true;
   options.cache_dir = dir_ / "cache";
-  options.obs.metrics = &registry;
 
   ScopedFaults faults(MustParse("cache.write=enospc"));
   BatchDriver driver(options);
@@ -685,26 +662,23 @@ TEST_F(ResilienceTest, EnospcFlipsCacheReadOnlyAndStopsPayingRetries) {
   EXPECT_EQ(result.cache_hits, 0);
 
   // Every failed install is still counted...
-  EXPECT_GE(registry.counter("cache.write_failures")->value(),
-            static_cast<int64_t>(sources.size()));
+  EXPECT_GE(result.cache.write_failures, static_cast<int64_t>(sources.size()));
   // ...but the exponential backoff was only paid while the first write(s)
   // exhausted their attempts. Without the read-only degradation this would
   // be 2 retries for every one of the 20 files.
-  EXPECT_LE(registry.counter("cache.retries")->value(), 8);
-  EXPECT_EQ(registry.gauge("cache.readonly")->value(), 1);
+  EXPECT_LE(result.cache.retries, 8);
+  EXPECT_TRUE(result.cache.read_only);
 
   // The degradation is per-run: a fresh driver (fresh Cache) with a healthy
   // disk writes again.
   util::FaultInjector::Uninstall();
-  obs::Registry registry2;
-  options.obs.metrics = &registry2;
   BatchDriver healthy(options);
   BatchResult second = healthy.RunSources(sources);
   for (const FileResult& f : second.files) {
     EXPECT_TRUE(f.ok) << f.path;
   }
-  EXPECT_EQ(registry2.gauge("cache.readonly")->value(), 0);
-  EXPECT_EQ(registry2.counter("cache.write_failures")->value(), 0);
+  EXPECT_FALSE(second.cache.read_only);
+  EXPECT_EQ(second.cache.write_failures, 0);
 
   // And a third run replays those entries warm, byte-identically.
   BatchDriver warm(options);

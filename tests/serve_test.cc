@@ -26,6 +26,7 @@
 #include "serve/supervisor.h"
 #include "serve/uds.h"
 #include "json_normalize.h"
+#include "obs/json.h"
 #include "util/faultinject.h"
 
 namespace sash::serve {
@@ -311,6 +312,36 @@ TEST_F(ServeTest, PingAnalyzeMineAndStats) {
   EXPECT_EQ(stats.requests, 4);
   EXPECT_EQ(stats.responses, 4);
   EXPECT_EQ(stats.malformed, 0);
+}
+
+// The `stats` op renders the server's own counts as one JSON object.
+TEST_F(ServeTest, StatsOpRepliesWithServerCounts) {
+  Server server(BaseOptions());
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client(BaseClient());
+  constexpr int kPings = 3;
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(client.Call(Ping(i)).ok);
+  }
+  RpcRequest stats;
+  stats.op = "stats";
+  stats.id = kPings;
+  CallResult r = client.Call(stats);
+  ASSERT_TRUE(r.ok) << r.transport_error;
+  EXPECT_EQ(r.response.status, kStatusOk);
+  std::optional<obs::JsonValue> body = obs::JsonValue::Parse(r.response.body);
+  ASSERT_TRUE(body.has_value()) << r.response.body;
+  const obs::JsonValue* requests = body->Find("serve.requests");
+  ASSERT_NE(requests, nullptr) << r.response.body;
+  ASSERT_TRUE(requests->is_number());
+  EXPECT_GE(requests->number, kPings + 1);  // The stats call counts itself.
+  const obs::JsonValue* shed = body->Find("serve.shed");
+  ASSERT_NE(shed, nullptr) << r.response.body;
+  EXPECT_TRUE(shed->is_number());
+  EXPECT_EQ(shed->number, 0);
+  server.Stop();
 }
 
 TEST_F(ServeTest, WarmViaReplayIsByteIdenticalToLocal) {
@@ -693,6 +724,40 @@ TEST_F(ServeTest, ChaosSoakUnderDefaultPlanNeverDropsARequest) {
   server.Stop();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(ok_count.load(), kClients * kCalls);
+  util::FaultInjector::Uninstall();
+}
+
+// A rate-gated chaos rule rolls per accept and per connect attempt, not once
+// per socket path: on a path whose bare roll fires, every call must still
+// be answered. Each call uses a fresh client, so each connects and is
+// accepted anew.
+TEST_F(ServeTest, ChaosRollsPerAttemptNotOncePerSocketPath) {
+  util::FaultInjector::Install(util::FaultPlan::DefaultChaos(20260809));
+  for (util::FaultSite site : {util::FaultSite::kServeAccept, util::FaultSite::kClientConnect}) {
+    std::string path;
+    for (int i = 0; i < 100000 && path.empty(); ++i) {
+      std::string candidate = (dir_ / ("c" + std::to_string(i) + ".sock")).string();
+      if (util::FaultInjector::Check(site, candidate).action == util::FaultAction::kFail) {
+        path = candidate;
+      }
+    }
+    ASSERT_FALSE(path.empty()) << "no socket path whose bare roll fires";
+
+    ServerOptions options = BaseOptions();
+    options.socket_path = path;
+    Server server(std::move(options));
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ClientOptions copt = BaseClient();
+    copt.socket_path = path;
+    copt.connect_attempts = 10;
+    for (int i = 0; i < 8; ++i) {
+      Client client(copt);
+      CallResult r = client.Call(Ping(i));
+      EXPECT_TRUE(r.ok) << path << ": " << r.transport_error;
+    }
+    server.Stop();
+  }
   util::FaultInjector::Uninstall();
 }
 

@@ -147,8 +147,10 @@ TEST(Pipeline, CheckProgramEmitsDiagnostic) {
   ASSERT_TRUE(parsed.ok());
   DiagnosticSink sink;
   PipelineChecker checker;
-  int checked = checker.CheckProgram(parsed.program, &sink);
-  EXPECT_EQ(checked, 1);
+  CheckStats checked = checker.CheckProgram(parsed.program, &sink);
+  EXPECT_EQ(checked.pipelines_checked, 1);
+  EXPECT_EQ(checked.stages_typed, 3);
+  EXPECT_EQ(checked.dead_streams, 1);
   ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.diagnostics()[0].code, kCodeDeadStream);
   EXPECT_EQ(sink.diagnostics()[0].severity, Severity::kError);

@@ -129,20 +129,6 @@ TEST(Diagnostics, ToStringGolden) {
   EXPECT_EQ(bare.ToString(), "3:2 error: plain");
 }
 
-TEST(Diagnostics, CountIntoBumpsCounterAtThreshold) {
-  obs::Counter counter;
-  DiagnosticSink sink;
-  sink.CountInto(&counter, Severity::kWarning);
-  sink.Emit(Severity::kInfo, "A", {}, "below threshold");
-  EXPECT_EQ(counter.value(), 0);
-  sink.Emit(Severity::kWarning, "B", {}, "at threshold");
-  sink.Emit(Severity::kError, "C", {}, "above threshold");
-  EXPECT_EQ(counter.value(), 2);
-  sink.CountInto(nullptr, Severity::kWarning);
-  sink.Emit(Severity::kError, "D", {}, "detached");
-  EXPECT_EQ(counter.value(), 2);
-}
-
 TEST(CancelToken, DefaultTokenNeverTrips) {
   util::CancelToken token;
   EXPECT_FALSE(token.cancelled());

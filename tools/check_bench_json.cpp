@@ -35,7 +35,6 @@
 
 #include "obs/journal.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "util/file.h"
 
@@ -160,12 +159,10 @@ bool ValidateJournalFile(const std::filesystem::path& path) {
 
 bool SelfTest() {
   // A conforming report produced by the real emitter must validate.
-  sash::obs::Registry registry;
-  registry.counter("selftest.ops")->Add(42);
-  registry.histogram("selftest.latency_ns")->Observe(1500);
+  const sash::obs::NamedValues metrics = {{"selftest.ops", 42}, {"selftest.latency_ns", 1500}};
   std::vector<sash::obs::BenchRun> runs;
   runs.push_back({"BM_SelfTest/16", 1000, 1234.5, 1200.0});
-  std::string good = sash::obs::BenchReportJson("selftest", runs, &registry);
+  std::string good = sash::obs::BenchReportJson("selftest", runs, metrics);
   if (!ValidateText("selftest(good)", good)) {
     std::fprintf(stderr, "selftest: emitter output failed validation\n");
     return false;

@@ -13,6 +13,7 @@
 #include "monitor/guard.h"
 #include "monitor/interp.h"
 #include "obs/obs.h"
+#include "obs/procstat.h"
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/session.h"
@@ -20,6 +21,7 @@
 #include "serve/server.h"
 #include "serve/supervisor.h"
 #include "stream/pipeline.h"
+#include "util/faultinject.h"
 #include "util/file.h"
 #include "util/strings.h"
 
@@ -221,25 +223,94 @@ void ImplyIsolate(BatchOptions* batch) {
   batch->isolate = batch->isolate || batch->max_rss_mb > 0 || batch->worker_cpu_s > 0;
 }
 
-// Human-readable stats table, written to stderr so it never mixes with the
-// report on stdout.
-void PrintStats(const sash::obs::Registry& registry) {
-  sash::obs::MetricsSnapshot snap = registry.Snapshot();
-  if (!snap.counters.empty() || !snap.gauges.empty()) {
-    std::fprintf(stderr, "--- metrics ---\n");
-    for (const auto& [name, value] : snap.counters) {
-      std::fprintf(stderr, "  %-32s %10lld\n", name.c_str(), static_cast<long long>(value));
-    }
-    for (const auto& [name, value] : snap.gauges) {
-      std::fprintf(stderr, "  %-32s %10lld (gauge)\n", name.c_str(),
-                   static_cast<long long>(value));
-    }
-    for (const auto& [name, h] : snap.histograms) {
-      std::fprintf(stderr, "  %-32s count=%lld p50<=%lld p99<=%lld\n", name.c_str(),
-                   static_cast<long long>(h.count), static_cast<long long>(h.p50),
-                   static_cast<long long>(h.p99));
+// The `--stats` table, written to stderr so it never mixes with the report
+// on stdout: one line per statistic, sorted by name.
+void PrintStats(const sash::obs::NamedValues& values) {
+  std::fprintf(stderr, "--- metrics ---\n");
+  for (const auto& [name, value] : values) {
+    std::fprintf(stderr, "  %-32s %10lld\n", name.c_str(), static_cast<long long>(value));
+  }
+}
+
+// `analyze --stats`: the batch's own counts, the sum of its per-file
+// analysis counts (when any analysis ran in this process), its cache and
+// commit queue, and the process-wide figures read now.
+sash::obs::NamedValues BatchStats(const sash::batch::BatchResult& result, bool isolate) {
+  using sash::batch::FileStatus;
+  auto count = [&result](FileStatus status) {
+    return static_cast<int64_t>(result.CountStatus(status));
+  };
+  sash::obs::NamedValues v = {
+      {"batch.files", static_cast<int64_t>(result.files.size())},
+      {"batch.jobs", result.jobs},
+      {"batch.steals", result.steals},
+      {"resilience.timeouts", count(FileStatus::kTimedOut)},
+      {"resilience.degraded", count(FileStatus::kDegraded)},
+      {"resilience.failed", count(FileStatus::kFailed)},
+      {"resilience.crashed", count(FileStatus::kCrashed)},
+      {"process.rss_kb", sash::obs::CurrentRssKb()},
+      {"process.peak_rss_kb", sash::obs::PeakRssKb()},
+  };
+  if (const sash::core::AnalysisStats& a = result.analysis; a.runs > 0) {
+    const sash::symex::EngineStats& e = a.engine;
+    const sash::stream::CheckStats& st = a.stream;
+    v.insert({
+        {"analyzer.runs", a.runs},
+        {"analyzer.findings", a.findings},
+        {"diagnostics.warnings_or_worse", a.warnings_or_worse},
+        {"symex.commands_executed", e.commands_executed},
+        {"symex.forks", e.forks},
+        {"symex.states_peak", e.states_peak},
+        {"symex.states_merged", e.states_merged},
+        {"symex.states_dropped", e.states_dropped},
+        {"symex.final_states", e.final_states},
+        {"symex.fs_ops", e.fs_ops},
+        {"symex.digest_collisions", e.digest_collisions},
+        {"symex.depth_cap_hits", e.depth_cap_hits},
+        {"symex.cancelled", e.cancelled},
+        {"stream.pipelines_checked", st.pipelines_checked},
+        {"stream.stages_typed", st.stages_typed},
+        {"stream.stages_untyped", st.stages_untyped},
+        {"stream.type_errors", st.type_errors},
+        {"stream.dead_streams", st.dead_streams},
+    });
+    sash::core::AddHotpathStats(&v);
+  }
+  sash::batch::AddCacheStats(result.cache, &v);
+  v.insert({{"cache.commit.enqueued", result.commit.enqueued},
+            {"cache.commit.committed", result.commit.committed},
+            {"cache.commit.drains", result.commit.drains}});
+  if (isolate) {
+    v.insert({{"crash.workers", result.crash.workers},
+              {"crash.oom", result.crash.oom},
+              {"crash.worker_exits", result.crash.worker_exits},
+              {"crash.spawn_fallbacks", result.crash.spawn_fallbacks},
+              {"crash.quarantined", result.crash.quarantined}});
+  }
+  if (sash::util::FaultInjector::enabled()) {
+    v["faults.injected"] = sash::util::FaultInjector::fires();
+  }
+  return v;
+}
+
+// The wall times of the files that produced a report: their count and
+// exact nearest-rank percentiles.
+void PrintFileMicros(const sash::batch::BatchResult& result) {
+  std::vector<int64_t> micros;
+  for (const sash::batch::FileResult& f : result.files) {
+    if (f.ok) {
+      micros.push_back(f.micros);
     }
   }
+  if (micros.empty()) {
+    return;
+  }
+  std::sort(micros.begin(), micros.end());
+  auto percentile = [&micros](size_t p) {
+    return static_cast<long long>(micros[(micros.size() * p + 99) / 100 - 1]);
+  };
+  std::fprintf(stderr, "  %-32s count=%zu p50=%lld p99=%lld\n", "batch.file_micros",
+               micros.size(), percentile(50), percentile(99));
 }
 
 bool ReadSource(const std::string& path, std::string* out) {
@@ -451,14 +522,11 @@ int CmdAnalyze(const std::vector<std::string>& args) {
   }
 
   // Observability is opt-in: the journal only behind --journal, --trace-out
-  // or --folded (the trace and the folded stacks are rendered from it), the
-  // metrics registry only when --stats or the trace's counter tracks
-  // surface it.
+  // or --folded (the trace and the folded stacks are rendered from it).
   sash::obs::Session session({.trace_out = cli.trace_out,
                               .journal_out = cli.journal_out,
-                              .folded_out = cli.folded_out,
-                              .metrics = cli.stats || !cli.trace_out.empty()});
-  batch.obs = session.hooks();
+                              .folded_out = cli.folded_out});
+  batch.journal = session.journal();
 
   sash::batch::BatchResult result;
   bool via_filled = false;
@@ -509,7 +577,8 @@ int CmdAnalyze(const std::vector<std::string>& args) {
     }
   }
   if (cli.stats) {
-    PrintStats(*session.metrics());
+    PrintStats(BatchStats(result, batch.isolate));
+    PrintFileMicros(result);
   }
   return session.Finish("sash") ? result.ExitCode() : 2;
 }
@@ -814,9 +883,8 @@ int CmdServe(const std::vector<std::string>& args) {
     return rc;
   }
 
-  // The registry always exists: the rpc `stats` op renders it.
-  sash::obs::Session session({.journal_out = cli.journal_out, .metrics = true});
-  options.batch.obs = session.hooks();
+  sash::obs::Session session({.journal_out = cli.journal_out});
+  options.batch.journal = session.journal();
 
   sash::serve::Server server(std::move(options));
   std::string error;
@@ -840,7 +908,7 @@ int CmdServe(const std::vector<std::string>& args) {
                static_cast<long long>(final_stats.timeouts),
                static_cast<long long>(final_stats.drain_cancelled));
   if (cli.stats) {
-    PrintStats(*session.metrics());
+    PrintStats(server.StatValues());
   }
   return session.Finish("sash serve") ? 0 : 2;
 }
