@@ -3,7 +3,8 @@
 // monitoring off / gradual (untyped-adjacent only) / full, over growing
 // inputs, and report the overhead factor and throughput. The unmonitored
 // 10k-line cost per line and the full-monitor overhead on the 100-line row
-// (where the per-run type check, not the line scan, dominates) are gated in
+// (where the per-run type check, not the line scan, dominates) and on the
+// 1,000-line row (where the boundary line scan shows) are gated in
 // bench/baseline.json.
 #include <chrono>
 
@@ -74,8 +75,9 @@ void PrintResult() {
                     std::to_string(static_cast<long>(off)), MegabytesPerSecond(bytes, off),
                     std::to_string(static_cast<long>(all)), MegabytesPerSecond(bytes, all),
                     overhead, std::to_string(checked_all)});
-    if (lines == 100) {
-      sash::bench::Metric("t6.full_overhead_x100_100", static_cast<int64_t>(all / off * 100.0));
+    if (lines == 100 || lines == 1000) {
+      sash::bench::Metric("t6.full_overhead_x100_" + std::to_string(lines),
+                          static_cast<int64_t>(all / off * 100.0));
     }
     if (lines == 10000) {
       sash::bench::Metric("t6.unmonitored_ns_per_line_10k",

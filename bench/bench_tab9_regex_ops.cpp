@@ -113,6 +113,64 @@ void BM_Membership(benchmark::State& state) {
 }
 BENCHMARK(BM_Membership);
 
+// Per-byte cost of the line check on the monitor's and grep's languages, in
+// monitor_stream's line shapes: whole "id,name,value,tag" CSV lines, or the
+// single field a `cut` passes on. BM_AcceptsLine is the accelerated scan the
+// monitor and grep run; BM_Accepts steps every byte, as both did before.
+struct LineCase {
+  const char* pattern;
+  int field;  // 0: whole CSV lines; else the 1-based field.
+};
+constexpr LineCase kLineCases[] = {
+    {".*", 0}, {"[^,\\n]*", 2}, {".*alpha.*", 0}, {".*,ok", 0}, {"-?\\d+", 3}};
+
+std::vector<std::string> MonitorLines(int field) {
+  static const char* const kNames[] = {"alpha", "beta", "gamma", "delta"};
+  static const char* const kTags[] = {"ok", "ok", "warn", "err"};
+  std::vector<std::string> lines;
+  uint32_t x = 29;
+  auto next = [&x](uint32_t n) {
+    x = x * 1103515245u + 12345u;
+    return (x >> 8) % n;
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const std::string fields[] = {std::to_string(1 + next(99999)),
+                                  kNames[next(4)] + std::to_string(next(100)),
+                                  std::to_string(next(1000000)), kTags[next(4)]};
+    lines.push_back(field == 0 ? fields[0] + "," + fields[1] + "," + fields[2] + "," + fields[3]
+                               : fields[field - 1]);
+  }
+  return lines;
+}
+
+template <bool kAccelerated>
+void LineCheck(benchmark::State& state) {
+  const LineCase& c = kLineCases[state.range(0)];
+  const sash::regex::Regex lang = *sash::regex::Regex::FromPattern(c.pattern);
+  const sash::regex::Dfa& dfa = lang.dfa();
+  const std::vector<std::string> lines = MonitorLines(c.field);
+  size_t bytes = 0;
+  for (const std::string& line : lines) {
+    bytes += line.size();
+  }
+  for (auto _ : state) {
+    for (const std::string& line : lines) {
+      benchmark::DoNotOptimize(kAccelerated ? dfa.AcceptsLine(line) : dfa.Accepts(line));
+    }
+  }
+  // Shown as seconds per byte (e.g. "1.9ns").
+  state.counters["per_byte"] = benchmark::Counter(
+      static_cast<double>(bytes),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(c.pattern);
+}
+
+void BM_AcceptsLine(benchmark::State& state) { LineCheck<true>(state); }
+BENCHMARK(BM_AcceptsLine)->DenseRange(0, std::size(kLineCases) - 1)->Unit(benchmark::kMicrosecond);
+
+void BM_Accepts(benchmark::State& state) { LineCheck<false>(state); }
+BENCHMARK(BM_Accepts)->DenseRange(0, std::size(kLineCases) - 1)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 SASH_BENCH_MAIN(PrintResult)

@@ -419,7 +419,7 @@ RunResult CmdGrep(fs::FileSystem& fs, const Invocation& inv, std::string_view st
       }
       line = lowered;
     }
-    if (dfa.Accepts(line) == invert) {
+    if (dfa.AcceptsLine(line) == invert) {
       return;
     }
     ++matches;

@@ -1,5 +1,7 @@
 #include "monitor/stream_monitor.h"
 
+#include <algorithm>
+
 namespace sash::monitor {
 
 MonitoredRun StreamMonitor::Run(const syntax::Program& program, fs::FileSystem* fs,
@@ -45,10 +47,10 @@ MonitoredRun StreamMonitor::Run(const syntax::Program& program, fs::FileSystem* 
   StreamViolation event;
   bool violated = false;
   size_t lines_checked = 0;
-  // One pass over the stage's output: the boundary DFA restarts at each
-  // '\n', lines split as SplitLines splits them (no empty line after a final
-  // '\n'; an unterminated last line counts), and the first rejected line
-  // stops the scan.
+  // Each boundary checks the stage's output line by line, lines split as
+  // SplitLines splits them (no empty line after a final '\n'; an unterminated
+  // last line counts), and the first rejected line stops the scan. A type
+  // whose start state accepts every line needs only the line count.
   interp.set_pipe_boundary_hook([&](int stage, std::string_view output, std::string* reason) {
     if (stage < 0 || static_cast<size_t>(stage) >= boundary_expect.size() ||
         !boundary_expect[static_cast<size_t>(stage)].has_value()) {
@@ -56,6 +58,13 @@ MonitoredRun StreamMonitor::Run(const syntax::Program& program, fs::FileSystem* 
     }
     const regex::Regex& expected = *boundary_expect[static_cast<size_t>(stage)];
     const regex::Dfa& dfa = expected.dfa();
+    if (dfa.AcceptsEveryLine()) {
+      lines_checked += static_cast<size_t>(std::count(output.begin(), output.end(), '\n'));
+      if (!output.empty() && output.back() != '\n') {
+        ++lines_checked;
+      }
+      return true;
+    }
     size_t start = 0;
     while (start < output.size()) {
       size_t end = output.find('\n', start);
@@ -63,12 +72,8 @@ MonitoredRun StreamMonitor::Run(const syntax::Program& program, fs::FileSystem* 
         end = output.size();
       }
       ++lines_checked;
-      int state = dfa.StartState();
-      for (size_t i = start; i < end; ++i) {
-        state = dfa.Step(state, static_cast<unsigned char>(output[i]));
-      }
-      if (!dfa.IsAccepting(state)) {
-        std::string_view line = output.substr(start, end - start);
+      std::string_view line = output.substr(start, end - start);
+      if (!dfa.AcceptsLine(line)) {
         violated = true;
         event.boundary = stage;
         event.line = std::string(line);

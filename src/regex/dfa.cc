@@ -1,6 +1,7 @@
 #include "regex/dfa.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <queue>
@@ -164,7 +165,7 @@ Dfa Dfa::FromNfa(const Nfa& nfa) {
   // Acceptance for states interned but processed later was set during their
   // own processing; states never processed cannot exist (every interned state
   // is enqueued). Finalize.
-  dfa.ComputeDeadStates();
+  dfa.ComputeStateSummaries();
   return dfa;
 }
 
@@ -178,6 +179,68 @@ bool Dfa::Accepts(std::string_view input) const {
   return accepting_[static_cast<size_t>(state)];
 }
 
+namespace {
+
+// Below this many bytes a plain loop finds the exit byte sooner than a call
+// to memchr: CSV fields and cut outputs hop a few bytes at a time.
+constexpr ptrdiff_t kMemchrMinBytes = 32;
+
+}  // namespace
+
+bool Dfa::AcceptsLine(std::string_view line) const {
+  if (steps_every_byte_) {
+    return Accepts(line);
+  }
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  int state = start_;
+  for (;;) {
+    const LineExits* exits = &line_exits_[static_cast<size_t>(state)];
+    while (exits->count == LineExits::kStep) {
+      if (p == end) {
+        return accepting_[static_cast<size_t>(state)];
+      }
+      state = Step(state, static_cast<unsigned char>(*p++));
+      exits = &line_exits_[static_cast<size_t>(state)];
+    }
+    if (exits->count == 0) {
+      return accepting_[static_cast<size_t>(state)];
+    }
+    // Every byte but the exits loops back to `state`: skip to the next exit.
+    const char b0 = static_cast<char>(exits->bytes[0]);
+    if (exits->count > 1) {
+      const char b1 = static_cast<char>(exits->bytes[1]);
+      const char b2 = static_cast<char>(exits->bytes[2]);
+      while (p != end && *p != b0 && *p != b1 && *p != b2) {
+        ++p;
+      }
+    } else if (end - p >= kMemchrMinBytes) {
+      const void* hit = std::memchr(p, b0, static_cast<size_t>(end - p));
+      p = hit != nullptr ? static_cast<const char*>(hit) : end;
+    } else {
+      while (p != end && *p != b0) {
+        ++p;
+      }
+    }
+    if (p == end) {
+      return accepting_[static_cast<size_t>(state)];
+    }
+    state = Step(state, static_cast<unsigned char>(*p++));
+  }
+}
+
+std::optional<std::string> Dfa::LineExitBytes(int state) const {
+  const LineExits& exits = line_exits_[static_cast<size_t>(state)];
+  if (exits.count == LineExits::kStep) {
+    return std::nullopt;
+  }
+  std::string bytes(exits.bytes.begin(), exits.bytes.begin() + exits.count);
+  std::sort(bytes.begin(), bytes.end(), [](char a, char b) {
+    return static_cast<unsigned char>(a) < static_cast<unsigned char>(b);
+  });
+  return bytes;
+}
+
 bool Dfa::IsEmptyLanguage() const { return dead_[static_cast<size_t>(start_)]; }
 
 bool Dfa::IsUniversal() const { return Complement().IsEmptyLanguage(); }
@@ -187,7 +250,7 @@ Dfa Dfa::Complement() const {
   for (size_t i = 0; i < out.accepting_.size(); ++i) {
     out.accepting_[i] = !out.accepting_[i];
   }
-  out.ComputeDeadStates();
+  out.ComputeStateSummaries();
   return out;
 }
 
@@ -256,7 +319,7 @@ Dfa Dfa::Product(const Dfa& a, const Dfa& b, ProductMode mode) {
       }
     }
   }
-  out.ComputeDeadStates();
+  out.ComputeStateSummaries();
   return out;
 }
 
@@ -344,7 +407,7 @@ Dfa Dfa::Minimize() const {
     }
   }
   out.start_ = block[static_cast<size_t>(start_)];
-  out.ComputeDeadStates();
+  out.ComputeStateSummaries();
   return out;
 }
 
@@ -452,7 +515,7 @@ std::vector<std::string> Dfa::SampleStrings(size_t limit) const {
   return out;
 }
 
-void Dfa::ComputeDeadStates() {
+void Dfa::ComputeStateSummaries() {
   // Reverse reachability from accepting states.
   const int n = NumStates();
   const int num_classes = classes_.NumClasses();
@@ -480,6 +543,45 @@ void Dfa::ComputeDeadStates() {
         work.push_back(p);
       }
     }
+  }
+
+  // Each class's bytes other than '\n', as a LineExits: count kStep when the
+  // class has more than three, so every state it leaves steps.
+  std::vector<LineExits> class_bytes(static_cast<size_t>(num_classes), LineExits{});
+  for (int c = 0; c < 256; ++c) {
+    const auto byte = static_cast<unsigned char>(c);
+    LineExits& cls = class_bytes[static_cast<size_t>(classes_.ClassOf(byte))];
+    if (byte != '\n' && cls.count != LineExits::kStep) {
+      if (cls.count < cls.bytes.size()) {
+        cls.bytes[cls.count] = byte;
+      }
+      ++cls.count;
+    }
+  }
+  line_exits_.assign(static_cast<size_t>(n), LineExits{});
+  steps_every_byte_ = true;
+  for (int s = 0; s < n; ++s) {
+    LineExits& exits = line_exits_[static_cast<size_t>(s)];
+    if (dead_[static_cast<size_t>(s)]) {
+      continue;
+    }
+    for (int cls = 0; cls < num_classes; ++cls) {
+      if (transitions_[static_cast<size_t>(s) * num_classes + cls] == s) {
+        continue;
+      }
+      const LineExits& leave = class_bytes[static_cast<size_t>(cls)];
+      if (exits.count + leave.count > exits.bytes.size()) {
+        exits.count = LineExits::kStep;
+        break;
+      }
+      for (uint8_t i = 0; i < leave.count; ++i) {
+        exits.bytes[exits.count++] = leave.bytes[i];
+      }
+    }
+    for (size_t i = exits.count; exits.count != 0 && i < exits.bytes.size(); ++i) {
+      exits.bytes[i] = exits.bytes[0];
+    }
+    steps_every_byte_ = steps_every_byte_ && exits.count == LineExits::kStep;
   }
 }
 

@@ -59,6 +59,24 @@ class Dfa {
   int NumStates() const { return static_cast<int>(accepting_.size()); }
   bool Accepts(std::string_view input) const;
 
+  // Accepts() for a line: `line` must hold no '\n'. Equal to Accepts(line),
+  // but it stops at the first state that decides the rest of the line, and
+  // from a state that at most three bytes leave it jumps to the next of them
+  // instead of stepping the bytes that loop.
+  bool AcceptsLine(std::string_view line) const;
+
+  // True when the start state accepts every line: AcceptsLine is then true
+  // whatever the line, and a caller can skip the scan.
+  bool AcceptsEveryLine() const {
+    return line_exits_[static_cast<size_t>(start_)].count == 0 &&
+           accepting_[static_cast<size_t>(start_)];
+  }
+
+  // The bytes other than '\n' that leave `state`, sorted, when there are at
+  // most three: "" when the state decides the rest of a line (as a dead state
+  // does), nullopt when AcceptsLine steps through it byte by byte.
+  std::optional<std::string> LineExitBytes(int state) const;
+
   // Whether the language is empty / contains every string / contains ε.
   bool IsEmptyLanguage() const;
   bool IsUniversal() const;
@@ -108,13 +126,30 @@ class Dfa {
   enum class ProductMode { kIntersect, kUnion, kDifference };
   static Dfa Product(const Dfa& a, const Dfa& b, ProductMode mode);
 
-  void ComputeDeadStates();
+  // Computes dead_, line_exits_ and steps_every_byte_ from transitions_ and
+  // accepting_; every construction calls it last.
+  void ComputeStateSummaries();
+
+  // The bytes other than '\n' that leave a state, when there are at most
+  // three (unused slots repeat bytes[0]). count 0: the state decides the rest
+  // of a line — it accepts iff the state is accepting (a dead state is
+  // recorded so too); count kStep: more than three bytes leave it.
+  struct LineExits {
+    static constexpr uint8_t kStep = 4;
+    uint8_t count = 0;
+    std::array<unsigned char, 3> bytes{};
+  };
 
   ByteClasses classes_;
   // transitions_[state * NumClasses + cls] = next state (always valid).
   std::vector<int> transitions_;
   std::vector<bool> accepting_;
   std::vector<bool> dead_;  // No accepting state reachable.
+  std::vector<LineExits> line_exits_;
+  // No live state is accelerated or decides a line (as in `-?\d+`):
+  // AcceptsLine steps without consulting line_exits_, which costs a load
+  // and a branch per byte.
+  bool steps_every_byte_ = false;
   int start_ = 0;
 };
 

@@ -372,6 +372,33 @@ TEST(ExecStreaming, GrepMatchesLineVectorSemantics) {
   }
 }
 
+// Lines that reach the search language's accept-everything state early
+// (the match sits at the front of a long line), late, or never, and long
+// runs between exit bytes: grep decides each line as the whole-line
+// reference does.
+TEST(ExecStreaming, GrepDecidesLinesThatMatchEarly) {
+  fs::FileSystem fs;
+  const std::string tail(120, 'z');
+  const std::string input = "alpha" + tail + "\n" + tail + "\n" + tail + "Alpha\n" +
+                            "a" + tail + "lpha\n" + ",ok" + tail + ",ok\n" + "ALPHA,ok\n" +
+                            tail + ",ok\n" + "x,o\n" + "\xff" "alpha\xfe\r\n\n" + "a.b" + tail;
+  for (const char* pattern : {"alpha", ",ok$", "^alpha", "a.b", "z"}) {
+    for (const std::string flags : {"", "v", "c", "i", "F", "iv", "Fc", "Fi"}) {
+      std::vector<std::string> argv = {"grep"};
+      if (!flags.empty()) {
+        argv.push_back("-" + flags);
+      }
+      argv.push_back(pattern);
+      RunResult want = ref::Grep(input, pattern, flags);
+      RunResult got = Sh(fs, argv, input);
+      EXPECT_EQ(got.out, want.out) << "grep -" << flags << " '" << pattern << "'";
+      EXPECT_EQ(got.exit_code, want.exit_code) << "grep -" << flags << " '" << pattern << "'";
+    }
+  }
+  EXPECT_EQ(Sh(fs, {"grep", "-c", "alpha"}, input).out, "2\n");
+  EXPECT_EQ(Sh(fs, {"grep", "-ic", "alpha"}, input).out, "4\n");
+}
+
 TEST(ExecStreaming, CutMatchesLineVectorSemantics) {
   fs::FileSystem fs;
   for (const std::string& input : StreamInputs()) {

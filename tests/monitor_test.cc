@@ -319,6 +319,37 @@ TEST(StreamMonitor, BoundaryCheckStopsAtAnEmptyLineMidBuffer) {
   EXPECT_EQ(run.lines_checked, 3u);  // Distributor ID, Description, then the empty line.
 }
 
+// A number line that turns dead mid-line: the scan stops there, yet the
+// event names the whole line.
+TEST(StreamMonitor, LineRejectedMidLineIsReportedWhole) {
+  for (const std::string output : {"1\n12x45678\n3\n", "7\n-\xff tail"}) {
+    fs::FileSystem fs;
+    fs.WriteFile("/data", output);
+    MonitoredRun run = ExpectBoundaryMatchesPerLine("cat /data | sort -n\n", output, fs);
+    EXPECT_TRUE(run.violation);
+    EXPECT_EQ(run.event.line, SplitLines(output)[1]);
+    EXPECT_EQ(run.lines_checked, 2u);
+  }
+}
+
+// A boundary whose type accepts every line only counts lines, and counts
+// them as SplitLines does.
+TEST(StreamMonitor, AcceptEveryLineBoundaryCountsLikeSplitLines) {
+  syntax::Program p = Parsed("cat /data | uniq\n");
+  stream::PipelineReport report = stream::PipelineChecker().Check(*p.body);
+  ASSERT_EQ(report.stages.size(), 2u);
+  ASSERT_FALSE(report.stages[1].input_expect.has_value());
+  ASSERT_TRUE(report.stages[0].output_lang.has_value());
+  ASSERT_TRUE(report.stages[0].output_lang->dfa().AcceptsEveryLine());
+  for (const std::string output : {"a\nb", "\n\n", "", "x\n\ny\n", "\n", "unterminated"}) {
+    fs::FileSystem fs;
+    fs.WriteFile("/data", output);
+    MonitoredRun run = ExpectBoundaryMatchesPerLine("cat /data | uniq\n", output, fs);
+    EXPECT_FALSE(run.violation);
+    EXPECT_EQ(run.lines_checked, SplitLines(output).size()) << output;
+  }
+}
+
 TEST(StreamMonitor, EmptyStageOutputChecksNothing) {
   fs::FileSystem fs;
   fs.WriteFile("/data", "");

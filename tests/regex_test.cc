@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "derivative.h"
 #include "regex/parser.h"
 #include "regex/regex.h"
+#include "rtypes/types.h"
 
 namespace sash::regex {
 namespace {
@@ -407,6 +410,186 @@ TEST(HashCons, FullCacheStillAnswersCorrectly) {
   EXPECT_EQ(PatternCache::Size(), 8192u);
   PatternCache::Clear();
   EXPECT_EQ(PatternCache::Size(), 0u);
+}
+
+// ---- AcceptsLine: the accelerated line scan decides as Accepts does ----
+
+// Newline-free lines: the empty line, '\r', '\t', high bytes, CSV and
+// type-library shapes, runs long enough for the memchr jump, and seeded
+// lines over an alphabet that mixes all of those.
+std::vector<std::string> ProbeLines() {
+  std::vector<std::string> lines = {
+      "", "a", ",", ",ok", "x,ok", "x,o", ",ok,", "alpha", "alph", "xalphay", "al\xff" "pha",
+      "12345,alpha12,123456,ok", "12345,beta7,99,err", "-12", "007", "0x1f", "1.5", "\t",
+      " \t\r", "\r", "ok\r", "\xff\xfe", "caf\xc3\xa9", "/home/u/file", "rel/path/",
+      "http://x.y/z", "Description:\tDebian", "drwxr-xr-x 2 alice staff 64 Jan  5 09:30 dir",
+      std::string("nul\0byte", 8)};
+  lines.push_back(std::string(100, 'a'));
+  lines.push_back(std::string(100, 'a') + ",ok");
+  lines.push_back(std::string(100, 'a') + "," + std::string(40, 'b'));
+  lines.push_back("alpha" + std::string(100, 'z') + "\xff");
+  lines.push_back(std::string(60, '\xe9') + "alpha" + std::string(60, ','));
+  std::mt19937 rng(20261020);
+  const std::string alphabet = std::string("aAlph,ok,0123- \t\r\xe9\xff./x:", 24);
+  for (int n = 0; n < 150; ++n) {
+    std::string line;
+    const size_t len = rng() % (n % 3 == 0 ? 90 : 12);
+    for (size_t c = 0; c < len; ++c) {
+      line += alphabet[rng() % alphabet.size()];
+    }
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+void ExpectAcceptsLineAgrees(const Dfa& dfa, const std::string& what) {
+  for (const std::string& line : ProbeLines()) {
+    EXPECT_EQ(dfa.AcceptsLine(line), dfa.Accepts(line)) << what << " on '" << line << "'";
+  }
+}
+
+TEST(AcceptsLine, AgreesWithAcceptsOnTheTypeLibrary) {
+  const rtypes::TypeLibrary& lib = rtypes::TypeLibrary::Default();
+  for (const std::string& name : lib.Names()) {
+    const Regex& type = *lib.Find(name);
+    ExpectAcceptsLineAgrees(type.dfa(), name);
+    ExpectAcceptsLineAgrees(type.Complement().dfa(), "!" + name);
+  }
+}
+
+// The languages grep and the monitor build: search languages, grep -F's
+// .*lit.*, and the Concat/Intersect/Complement derivations of the type
+// checker — minimized through Regex, and raw (unminimized, several dead
+// states) through Dfa.
+TEST(AcceptsLine, AgreesOnSearchAndDerivedLanguages) {
+  const rtypes::TypeLibrary& lib = rtypes::TypeLibrary::Default();
+  std::vector<std::pair<std::string, Regex>> langs;
+  for (const char* p : {"alpha", ",ok$", "^desc", "err", "a.c", "[0-9]+", "^$", ",", "\\t"}) {
+    std::optional<Regex> search = Regex::FromSearchPattern(p);
+    ASSERT_TRUE(search.has_value()) << p;
+    langs.emplace_back(std::string("search ") + p, *search);
+  }
+  langs.emplace_back("-F ,ok",
+                     Regex::AnyLine().Concat(Regex::Literal(",ok")).Concat(Regex::AnyLine()));
+  const Regex number = *lib.Find("number");
+  const Regex any = *lib.Find("any");
+  const Regex alpha = *Regex::FromSearchPattern("alpha");
+  langs.emplace_back("number.any", number.Concat(any));
+  langs.emplace_back("search∩word", alpha.Intersect(*lib.Find("word")));
+  langs.emplace_back("!search", alpha.Complement());
+  langs.emplace_back("!search∩number", alpha.Complement().Intersect(number));
+  langs.emplace_back("!number.,", number.Complement().Concat(Rx(",")));
+  for (const auto& [what, lang] : langs) {
+    ExpectAcceptsLineAgrees(lang.dfa(), what);
+  }
+  for (const char* p : {".*alpha.*", ".*,ok", "[^,]*,[0-9]+", "(a|b)*abb"}) {
+    ParseResult parsed = ParsePattern(p);
+    ASSERT_TRUE(parsed.ok()) << p;
+    const Dfa raw = Dfa::FromAst(parsed.node);
+    ExpectAcceptsLineAgrees(raw, std::string("unminimized ") + p);
+    ExpectAcceptsLineAgrees(raw.Intersect(number.dfa()), std::string("product ") + p);
+    ExpectAcceptsLineAgrees(raw.Complement(), std::string("complement ") + p);
+  }
+}
+
+// '\n' shares a byte class with other bytes here, so the exit sets are
+// read off classes that mix '\n' with bytes a line can hold.
+TEST(AcceptsLine, AgreesWhereNewlineSharesAClass) {
+  for (const char* p : {"[^,]*", "\\s*", "\\S+", "[^a]*b", "[^,]*,[^,]*", "(\\s|x)*y"}) {
+    ExpectAcceptsLineAgrees(Rx(p).dfa(), p);
+  }
+  EXPECT_EQ(Rx("[^,]*").dfa().LineExitBytes(Rx("[^,]*").dfa().StartState()), ",");
+  EXPECT_TRUE(Rx("\\s*").dfa().AcceptsLine(" \t\r"));
+  EXPECT_FALSE(Rx("\\s*").dfa().AcceptsLine(" x"));
+  EXPECT_TRUE(Rx("\\S+").dfa().AcceptsLine("\xff,ok"));
+  EXPECT_FALSE(Rx("\\S+").dfa().AcceptsLine("a\rb"));
+}
+
+TEST(AcceptsLine, PinsTheExitBytes) {
+  // `.*`'s start state: no byte leaves it, and it accepts.
+  const Dfa& any = Regex::AnyLine().dfa();
+  EXPECT_EQ(any.LineExitBytes(any.StartState()), "");
+  EXPECT_TRUE(any.AcceptsEveryLine());
+  // `[^,\n]*`: only ',' leaves the start state.
+  const Dfa& field = Rx("[^,\\n]*").dfa();
+  EXPECT_EQ(field.LineExitBytes(field.StartState()), ",");
+  EXPECT_FALSE(field.AcceptsEveryLine());
+  // `number` is not accelerated: only its dead state decides a line.
+  const Dfa& number = rtypes::TypeLibrary::Default().Find("number")->dfa();
+  EXPECT_FALSE(number.AcceptsEveryLine());
+  for (int s = 0; s < number.NumStates(); ++s) {
+    if (number.IsDeadState(s)) {
+      EXPECT_EQ(number.LineExitBytes(s), "") << s;
+    } else {
+      EXPECT_EQ(number.LineExitBytes(s), std::nullopt) << s;
+    }
+  }
+  // grep 'alpha' jumps to each 'a', and after "alpha" accepts the rest.
+  const Dfa& alpha = Regex::FromSearchPattern("alpha")->dfa();
+  EXPECT_EQ(alpha.LineExitBytes(alpha.StartState()), "a");
+  int s = alpha.StartState();
+  for (char c : std::string_view("alpha")) {
+    s = alpha.Step(s, static_cast<unsigned char>(c));
+  }
+  EXPECT_EQ(alpha.LineExitBytes(s), "");
+  EXPECT_TRUE(alpha.IsAccepting(s));
+  // grep ',ok$' jumps to each ','.
+  const Dfa& ok = Regex::FromSearchPattern(",ok$")->dfa();
+  EXPECT_EQ(ok.LineExitBytes(ok.StartState()), ",");
+  // Up to three exit bytes, sorted; a fourth makes the state step.
+  const Dfa& three = Rx("[^abc]*").dfa();
+  EXPECT_EQ(three.LineExitBytes(three.StartState()), "abc");
+  const Dfa& four = Rx("[^abcd]*").dfa();
+  EXPECT_EQ(four.LineExitBytes(four.StartState()), std::nullopt);
+}
+
+// Seeded random patterns over a small alphabet, checked against the
+// derivative matcher, which builds no automaton.
+std::string RandomPattern(std::mt19937& rng, int depth) {
+  static const char* const kAtoms[] = {"a", "b", ",", "\t", "\xe9", ".", "[^,]", "[ab]",
+                                       "\\s", "\\S", "\\d", "[^a\\n]", "[a-c,]"};
+  const unsigned pick = depth <= 0 ? 0 : rng() % 6;
+  switch (pick) {
+    case 1:
+      return RandomPattern(rng, depth - 1) + RandomPattern(rng, depth - 1);
+    case 2:
+      return "(" + RandomPattern(rng, depth - 1) + "|" + RandomPattern(rng, depth - 1) + ")";
+    case 3:
+      return "(" + RandomPattern(rng, depth - 1) + ")*";
+    case 4:
+      return "(" + RandomPattern(rng, depth - 1) + ")+";
+    case 5:
+      return "(" + RandomPattern(rng, depth - 1) + ")?";
+    default:
+      return kAtoms[rng() % std::size(kAtoms)];
+  }
+}
+
+TEST(AcceptsLine, RandomPatternsAgreeWithDerivatives) {
+  std::mt19937 rng(29);
+  std::vector<std::string> lines;
+  const std::string alphabet = std::string("ab,\t \xe9\xff" "1", 8);
+  for (int n = 0; n < 40; ++n) {
+    std::string line;
+    const size_t len = rng() % (n % 4 == 0 ? 48 : 8);
+    for (size_t c = 0; c < len; ++c) {
+      line += alphabet[rng() % alphabet.size()];
+    }
+    lines.push_back(line);
+  }
+  for (int n = 0; n < 150; ++n) {
+    const std::string pattern = RandomPattern(rng, 3);
+    ParseResult parsed = ParsePattern(pattern);
+    ASSERT_TRUE(parsed.ok()) << pattern;
+    const Dfa& dfa = Rx(pattern).dfa();
+    const Dfa raw = Dfa::FromAst(parsed.node);
+    for (const std::string& line : lines) {
+      const bool want = DerivativeMatch(parsed.node, line);
+      EXPECT_EQ(dfa.AcceptsLine(line), want) << pattern << " on '" << line << "'";
+      EXPECT_EQ(raw.AcceptsLine(line), want) << "unminimized " << pattern << " on '" << line
+                                             << "'";
+    }
+  }
 }
 
 // Property sweep: for random-ish pattern pairs, algebraic identities hold.
