@@ -2,6 +2,10 @@
 // regular-language constraints): costs of the language algebra over the
 // descriptive-type library — intersection, complement, inclusion,
 // minimization — with state counts.
+#include <algorithm>
+#include <chrono>
+#include <string_view>
+
 #include "bench_util.h"
 #include "rtypes/types.h"
 
@@ -17,6 +21,55 @@ std::vector<std::pair<std::string, sash::regex::Regex>> LibraryTypes() {
     out.emplace_back(name, *lib.Find(name));
   }
   return out;
+}
+
+// The monitor's and grep's line languages, in monitor_stream's line shapes:
+// whole "id,name,value,tag" CSV lines, or the single field a `cut` passes on.
+struct LineCase {
+  const char* pattern;
+  int field;  // 0: whole CSV lines; else the 1-based field.
+};
+constexpr LineCase kLineCases[] = {
+    {".*", 0}, {"[^,\\n]*", 2}, {".*alpha.*", 0}, {".*,ok", 0}, {"-?\\d+", 3}};
+
+std::vector<std::string> MonitorLines(int field) {
+  static const char* const kNames[] = {"alpha", "beta", "gamma", "delta"};
+  static const char* const kTags[] = {"ok", "ok", "warn", "err"};
+  std::vector<std::string> lines;
+  uint32_t x = 29;
+  auto next = [&x](uint32_t n) {
+    x = x * 1103515245u + 12345u;
+    return (x >> 8) % n;
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const std::string fields[] = {std::to_string(1 + next(99999)),
+                                  kNames[next(4)] + std::to_string(next(100)),
+                                  std::to_string(next(1000000)), kTags[next(4)]};
+    lines.push_back(field == 0 ? fields[0] + "," + fields[1] + "," + fields[2] + "," + fields[3]
+                               : fields[field - 1]);
+  }
+  return lines;
+}
+
+// Nanoseconds per byte of the fastest of 21 passes over `lines`, with the
+// accelerated line check or with Accepts, which steps every byte.
+double LineCheckNsPerByte(const sash::regex::Dfa& dfa, const std::vector<std::string>& lines,
+                          bool accelerated) {
+  size_t bytes = 0;
+  for (const std::string& line : lines) {
+    bytes += line.size();
+  }
+  double best = 0;
+  for (int rep = 0; rep < 21; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const std::string& line : lines) {
+      benchmark::DoNotOptimize(accelerated ? dfa.AcceptsLine(line) : dfa.Accepts(line));
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0).count();
+    best = rep == 0 ? ns : std::min(best, ns);
+  }
+  return best / static_cast<double>(bytes);
 }
 
 void PrintResult() {
@@ -47,6 +100,27 @@ void PrintResult() {
                          std::to_string(inter.DfaStates())});
   }
   sash::bench::PrintTable("T9b: pairwise language algebra over the library", pair_rows);
+
+  // The line check per byte. The `.*` ratio is gated in bench/baseline.json:
+  // its start state decides every line, and a check that steps every byte
+  // instead reads about 100.
+  std::vector<std::vector<std::string>> line_rows;
+  line_rows.push_back({"language", "AcceptsLine ns/byte", "Accepts ns/byte"});
+  for (const LineCase& c : kLineCases) {
+    const sash::regex::Regex lang = *sash::regex::Regex::FromPattern(c.pattern);
+    const std::vector<std::string> lines = MonitorLines(c.field);
+    const double accel = LineCheckNsPerByte(lang.dfa(), lines, true);
+    const double step = LineCheckNsPerByte(lang.dfa(), lines, false);
+    char cells[2][16];
+    std::snprintf(cells[0], sizeof(cells[0]), "%.2f", accel);
+    std::snprintf(cells[1], sizeof(cells[1]), "%.2f", step);
+    line_rows.push_back({c.pattern, cells[0], cells[1]});
+    if (std::string_view(c.pattern) == ".*") {
+      sash::bench::Metric("t9.line_check_x100_dotstar",
+                          static_cast<int64_t>(accel / step * 100.0));
+    }
+  }
+  sash::bench::PrintTable("T9c: line check per byte, monitor_stream line shapes", line_rows);
 }
 
 // The automaton algebra is timed on Dfa directly: Regex memoizes compiled
@@ -113,36 +187,9 @@ void BM_Membership(benchmark::State& state) {
 }
 BENCHMARK(BM_Membership);
 
-// Per-byte cost of the line check on the monitor's and grep's languages, in
-// monitor_stream's line shapes: whole "id,name,value,tag" CSV lines, or the
-// single field a `cut` passes on. BM_AcceptsLine is the accelerated scan the
-// monitor and grep run; BM_Accepts steps every byte, as both did before.
-struct LineCase {
-  const char* pattern;
-  int field;  // 0: whole CSV lines; else the 1-based field.
-};
-constexpr LineCase kLineCases[] = {
-    {".*", 0}, {"[^,\\n]*", 2}, {".*alpha.*", 0}, {".*,ok", 0}, {"-?\\d+", 3}};
-
-std::vector<std::string> MonitorLines(int field) {
-  static const char* const kNames[] = {"alpha", "beta", "gamma", "delta"};
-  static const char* const kTags[] = {"ok", "ok", "warn", "err"};
-  std::vector<std::string> lines;
-  uint32_t x = 29;
-  auto next = [&x](uint32_t n) {
-    x = x * 1103515245u + 12345u;
-    return (x >> 8) % n;
-  };
-  for (int i = 0; i < 1000; ++i) {
-    const std::string fields[] = {std::to_string(1 + next(99999)),
-                                  kNames[next(4)] + std::to_string(next(100)),
-                                  std::to_string(next(1000000)), kTags[next(4)]};
-    lines.push_back(field == 0 ? fields[0] + "," + fields[1] + "," + fields[2] + "," + fields[3]
-                               : fields[field - 1]);
-  }
-  return lines;
-}
-
+// Per-byte cost of the line check on kLineCases: BM_AcceptsLine is the
+// accelerated scan the monitor and grep run; BM_Accepts steps every byte, as
+// both did before.
 template <bool kAccelerated>
 void LineCheck(benchmark::State& state) {
   const LineCase& c = kLineCases[state.range(0)];

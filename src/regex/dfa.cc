@@ -1,7 +1,6 @@
 #include "regex/dfa.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <queue>
@@ -179,14 +178,6 @@ bool Dfa::Accepts(std::string_view input) const {
   return accepting_[static_cast<size_t>(state)];
 }
 
-namespace {
-
-// Below this many bytes a plain loop finds the exit byte sooner than a call
-// to memchr: CSV fields and cut outputs hop a few bytes at a time.
-constexpr ptrdiff_t kMemchrMinBytes = 32;
-
-}  // namespace
-
 bool Dfa::AcceptsLine(std::string_view line) const {
   if (steps_every_byte_) {
     return Accepts(line);
@@ -206,21 +197,13 @@ bool Dfa::AcceptsLine(std::string_view line) const {
     if (exits->count == 0) {
       return accepting_[static_cast<size_t>(state)];
     }
-    // Every byte but the exits loops back to `state`: skip to the next exit.
+    // Every byte but the exits loops back to `state`: skip to the next exit
+    // (unused slots repeat bytes[0], so one loop serves one to three exits).
     const char b0 = static_cast<char>(exits->bytes[0]);
-    if (exits->count > 1) {
-      const char b1 = static_cast<char>(exits->bytes[1]);
-      const char b2 = static_cast<char>(exits->bytes[2]);
-      while (p != end && *p != b0 && *p != b1 && *p != b2) {
-        ++p;
-      }
-    } else if (end - p >= kMemchrMinBytes) {
-      const void* hit = std::memchr(p, b0, static_cast<size_t>(end - p));
-      p = hit != nullptr ? static_cast<const char*>(hit) : end;
-    } else {
-      while (p != end && *p != b0) {
-        ++p;
-      }
+    const char b1 = static_cast<char>(exits->bytes[1]);
+    const char b2 = static_cast<char>(exits->bytes[2]);
+    while (p != end && *p != b0 && *p != b1 && *p != b2) {
+      ++p;
     }
     if (p == end) {
       return accepting_[static_cast<size_t>(state)];

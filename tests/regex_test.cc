@@ -415,7 +415,7 @@ TEST(HashCons, FullCacheStillAnswersCorrectly) {
 // ---- AcceptsLine: the accelerated line scan decides as Accepts does ----
 
 // Newline-free lines: the empty line, '\r', '\t', high bytes, CSV and
-// type-library shapes, runs long enough for the memchr jump, and seeded
+// type-library shapes, long runs between exit bytes, and seeded
 // lines over an alphabet that mixes all of those.
 std::vector<std::string> ProbeLines() {
   std::vector<std::string> lines = {
