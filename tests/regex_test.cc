@@ -539,6 +539,9 @@ TEST(AcceptsLine, PinsTheExitBytes) {
   // Up to three exit bytes, sorted; a fourth makes the state step.
   const Dfa& three = Rx("[^abc]*").dfa();
   EXPECT_EQ(three.LineExitBytes(three.StartState()), "abc");
+  for (std::string_view line : {"xyzxyza", "xyzxyzb", "xyzxyzc", "xyzxyz"}) {
+    EXPECT_EQ(three.AcceptsLine(line), three.Accepts(line)) << line;
+  }
   const Dfa& four = Rx("[^abcd]*").dfa();
   EXPECT_EQ(four.LineExitBytes(four.StartState()), std::nullopt);
 }
